@@ -21,7 +21,10 @@ type violation = {
   check : string;
       (** Which invariant family: ["bin"], ["open-index"],
           ["item-bin"], ["store"], ["migration"],
-          ["cost-conservation"], ["packing"]. *)
+          ["cost-conservation"], ["packing"]; on the fixed-point
+          track ["fast-open"], ["fast-index"] (the max-residual
+          tree), ["fast-level"], ["fast-time"], ["fast-view"],
+          ["fast-item"]. *)
   time : Rat.t option;  (** Simulation clock when detected. *)
   bin_id : int option;
   detail : string;

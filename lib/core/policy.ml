@@ -12,9 +12,13 @@ type handlers = {
   persistence : persistence;
 }
 
-type t = { name : string; spawn : capacity:Rat.t -> handlers }
+type t = {
+  name : string;
+  spawn : capacity:Rat.t -> handlers;
+  first_fit : string option;
+}
 
-let make ~name spawn = { name; spawn }
+let make ~name spawn = { name; spawn; first_fit = None }
 
 let no_departure_handler ~now:_ ~bins:_ ~item_id:_ = ()
 
@@ -27,4 +31,4 @@ let stateless ~name choose =
       persistence = Stateless;
     }
   in
-  { name; spawn }
+  { name; spawn; first_fit = None }

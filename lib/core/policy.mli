@@ -42,10 +42,24 @@ type handlers = {
       (** How this spawn's internal state checkpoints. *)
 }
 
-type t = { name : string; spawn : capacity:Rat.t -> handlers }
+type t = {
+  name : string;
+  spawn : capacity:Rat.t -> handlers;
+  first_fit : string option;
+      (** [Some tag] only on {!First_fit.policy}: the policy is plain
+          First Fit, opening new bins under [tag].  The engine's
+          fixed-point track then answers its arrivals from a
+          max-residual index over the open bins, in O(log open bins),
+          without building the view list or calling [on_arrival]; the
+          decision is the one the handler would take.  {!make} and
+          {!stateless} set [None], so every wrapper and custom policy
+          keeps the views path — and a [{ h with on_arrival }] wrapper
+          of the handlers cannot inherit the shortcut. *)
+}
 
 val make :
   name:string -> (capacity:Rat.t -> handlers) -> t
+(** A policy on the views path ([first_fit = None]). *)
 
 val stateless :
   name:string ->

@@ -109,7 +109,10 @@ module Online = struct
        [depart] does no list scan at all.
 
      Per-event cost is therefore O(open bins) — independent of how
-     many bins the run has ever opened.
+     many bins the run has ever opened.  On the fixed-point track
+     First Fit does better: a max-residual tree over the open slots
+     ([fo_fit]) answers its arrivals in O(log open bins) with no view
+     list at all; every other policy keeps the O(open bins) view pass.
 
      The engine runs on one of two numeric tracks.  The [Exact] track
      is the seed implementation above: boxed [Bin.t] records and
@@ -159,6 +162,11 @@ module Online = struct
     mutable fo_views : Bin.view array;
     mutable fo_len : int;
     mutable fb_slot : int array;
+    (* Max-residual tree over the same slots, never stale: leaf [s] is
+       [fb_cap_s - fb_level] of the bin in slot [s].  It answers First
+       Fit without views and the Any Fit violation check without a
+       scan. *)
+    fo_fit : Residual_tree.t;
     mutable fb_dirty : bool array;  (* gates [fd_stack] pushes *)
     mutable fd_stack : int array;
     mutable fd_len : int;
@@ -188,6 +196,7 @@ module Online = struct
     capacity : Rat.t;
     tag_capacity : string -> Rat.t;
     handlers : Policy.handlers;
+    first_fit : string option;  (* [Policy.t.first_fit] *)
     mutable store : Bin.t array;  (* all bins ever, dense by id *)
     mutable bin_count : int;
     open_index : Open_index.t;
@@ -311,6 +320,7 @@ module Online = struct
       fo_views = [||];
       fo_len = 0;
       fb_slot = [||];
+      fo_fit = Residual_tree.create ();
       fb_dirty = [||];
       fd_stack = [||];
       fd_len = 0;
@@ -404,6 +414,11 @@ module Online = struct
       f.fd_len <- 0
     end
 
+  (* Re-derive an open bin's leaf after its level changed. *)
+  let refresh_fit f id =
+    Residual_tree.update f.fo_fit ~slot:f.fb_slot.(id)
+      (f.fb_cap_s.(id) - f.fb_level.(id))
+
   let open_slot_append f id =
     let v = fast_view f id in
     let n = Array.length f.fo_views in
@@ -414,6 +429,8 @@ module Online = struct
     end;
     f.fo_views.(f.fo_len) <- v;
     f.fb_slot.(id) <- f.fo_len;
+    Residual_tree.append f.fo_fit ~slot:f.fo_len
+      (f.fb_cap_s.(id) - f.fb_level.(id));
     f.fo_len <- f.fo_len + 1
 
   let open_slot_remove f id =
@@ -423,6 +440,7 @@ module Online = struct
       f.fo_views.(s) <- v;
       f.fb_slot.(v.Bin.bin_id) <- s
     done;
+    Residual_tree.remove f.fo_fit ~slot ~len:f.fo_len;
     f.fb_slot.(id) <- -1;
     f.fo_len <- f.fo_len - 1
 
@@ -487,6 +505,15 @@ module Online = struct
       if f.fb_slot.(id) <> s then
         fail ~check:"fast-open" ~bin_id:id "slot back-pointer broken"
     done;
+    (* 1b. The max-residual tree: every leaf and inner node re-derived
+       from the slots' levels. *)
+    (match
+       Residual_tree.check f.fo_fit ~len:f.fo_len ~residual:(fun s ->
+           let id = f.fo_views.(s).Bin.bin_id in
+           f.fb_cap_s.(id) - f.fb_level.(id))
+     with
+    | Ok () -> ()
+    | Error msg -> fail ~check:"fast-index" "%s" msg);
     (* 2. Per-bin memoised state from first principles. *)
     let active_total = ref 0 in
     for id = 0 to f.fb_len - 1 do
@@ -587,6 +614,7 @@ module Online = struct
       capacity;
       tag_capacity;
       handlers = policy.Policy.spawn ~capacity;
+      first_fit = policy.Policy.first_fit;
       store = [||];
       bin_count = 0;
       open_index = Open_index.create ();
@@ -794,6 +822,63 @@ module Online = struct
     Dbp_obs.Profile.leave t.profile "policy" tok;
     commit_arrival_exact t ~now ~size ~item_id ~views ~decision
 
+  (* The fast arrival commit: raw int arithmetic on the dense store.
+     [of_rat] bounds every admitted value by max_int/4, so the sums
+     below cannot wrap.  [tok] is the open "commit" profile span. *)
+  let commit_fast t f ~target ~item_id ~now ~size ~size_s tok =
+    f.fb_level.(target) <- f.fb_level.(target) + size_s;
+    if f.fb_level.(target) > f.fb_max.(target) then
+      f.fb_max.(target) <- f.fb_level.(target);
+    f.fb_active.(target) <- f.fb_active.(target) + 1;
+    f.fb_items_rev.(target) <- item_id :: f.fb_items_rev.(target);
+    mark_dirty f target;
+    refresh_fit f target;
+    f.fi_bin.(item_id) <- target;
+    f.fi_size_s.(item_id) <- size_s;
+    f.fi_size.(item_id) <- size;
+    f.fi_arrival.(item_id) <- now;
+    f.fi_active <- f.fi_active + 1;
+    Dbp_obs.Profile.leave t.profile "commit" tok;
+    if t.audit then audit_fast t f;
+    target
+
+  (* A [New_bin tag] decision on the fast track: opens the next bin
+     and commits the item into it. *)
+  let open_fast t f ~tag ~item_id ~now ~now_s ~size ~size_s tok =
+    let cap = t.tag_capacity tag in
+    match Fixed.of_rat f.g cap with
+    | None ->
+        (* The tag's capacity is off-grid: hand the already-made
+           decision to the exact engine.  The policy must not run
+           again; the exact views equal the fast ones it saw. *)
+        Dbp_obs.Profile.leave t.profile "commit" tok;
+        degrade t f;
+        commit_arrival_exact t ~now ~size ~item_id ~views:(open_bins t)
+          ~decision:(Policy.New_bin tag)
+    | Some cap_s ->
+        (* Any Fit violation: some open bin had room after all. *)
+        if Residual_tree.max_residual f.fo_fit >= size_s then
+          t.violations <- t.violations + 1;
+        if size_s > cap_s then
+          invalid_decision
+            "item %d (size %s) exceeds the capacity %s of a new '%s' bin"
+            item_id (Rat.to_string size) (Rat.to_string cap) tag;
+        let id = f.fb_len in
+        if id >= Array.length f.fb_tag then grow_bin_arrays f;
+        f.fb_tag.(id) <- tag;
+        f.fb_cap_s.(id) <- cap_s;
+        f.fb_cap.(id) <- cap;
+        f.fb_level.(id) <- 0;
+        f.fb_max.(id) <- 0;
+        f.fb_active.(id) <- 0;
+        f.fb_opened.(id) <- now;
+        f.fb_closed.(id) <- None;
+        f.fb_opened_s.(id) <- now_s;
+        f.fb_items_rev.(id) <- [];
+        f.fb_len <- id + 1;
+        open_slot_append f id;
+        commit_fast t f ~target:id ~item_id ~now ~size ~size_s tok
+
   let arrive_fast t f ~now ~size ~item_id ~now_s ~size_s =
     fast_advance_clock f ~now ~now_s;
     if size_s <= 0 then invalid_step "item %d has size <= 0" item_id;
@@ -804,76 +889,43 @@ module Online = struct
     f.fi_bin.(item_id) <- -1;
     f.fi_seen <- f.fi_seen + 1;
     if item_id > f.fi_max_seen then f.fi_max_seen <- item_id;
-    let tok = Dbp_obs.Profile.enter t.profile in
-    let views = fast_views f in
-    Dbp_obs.Profile.leave t.profile "views" tok;
-    let tok = Dbp_obs.Profile.enter t.profile in
-    let decision = t.handlers.Policy.on_arrival ~now ~bins:views ~size ~item_id in
-    Dbp_obs.Profile.leave t.profile "policy" tok;
-    let tok = Dbp_obs.Profile.enter t.profile in
-    (* The commit itself: raw int arithmetic on the dense store.
-       [of_rat] bounds every admitted value by max_int/4, so the sums
-       below cannot wrap. *)
-    let commit_fast target =
-      f.fb_level.(target) <- f.fb_level.(target) + size_s;
-      if f.fb_level.(target) > f.fb_max.(target) then
-        f.fb_max.(target) <- f.fb_level.(target);
-      f.fb_active.(target) <- f.fb_active.(target) + 1;
-      f.fb_items_rev.(target) <- item_id :: f.fb_items_rev.(target);
-      mark_dirty f target;
-      f.fi_bin.(item_id) <- target;
-      f.fi_size_s.(item_id) <- size_s;
-      f.fi_size.(item_id) <- size;
-      f.fi_arrival.(item_id) <- now;
-      f.fi_active <- f.fi_active + 1;
-      Dbp_obs.Profile.leave t.profile "commit" tok;
-      if t.audit then audit_fast t f;
-      target
-    in
-    match decision with
-    | Policy.Existing id ->
-        if id < 0 || id >= f.fb_len then
-          invalid_decision "policy chose unknown bin %d" id;
-        if Option.is_some f.fb_closed.(id) then
-          invalid_decision "policy chose closed bin %d" id;
-        if f.fb_level.(id) + size_s > f.fb_cap_s.(id) then
-          invalid_decision "item %d does not fit in bin %d" item_id id;
-        commit_fast id
-    | Policy.New_bin tag -> (
-        let cap = t.tag_capacity tag in
-        match Fixed.of_rat f.g cap with
-        | None ->
-            (* The tag's capacity is off-grid: hand the already-made
-               decision to the exact engine.  The policy must not run
-               again. *)
-            Dbp_obs.Profile.leave t.profile "commit" tok;
-            degrade t f;
-            commit_arrival_exact t ~now ~size ~item_id ~views ~decision
-        | Some cap_s ->
-            if
-              List.exists
-                (fun (v : Bin.view) -> Rat.(size <= v.bin_residual))
-                views
-            then t.violations <- t.violations + 1;
-            if size_s > cap_s then
-              invalid_decision
-                "item %d (size %s) exceeds the capacity %s of a new '%s' bin"
-                item_id (Rat.to_string size) (Rat.to_string cap) tag;
-            let id = f.fb_len in
-            if id >= Array.length f.fb_tag then grow_bin_arrays f;
-            f.fb_tag.(id) <- tag;
-            f.fb_cap_s.(id) <- cap_s;
-            f.fb_cap.(id) <- cap;
-            f.fb_level.(id) <- 0;
-            f.fb_max.(id) <- 0;
-            f.fb_active.(id) <- 0;
-            f.fb_opened.(id) <- now;
-            f.fb_closed.(id) <- None;
-            f.fb_opened_s.(id) <- now_s;
-            f.fb_items_rev.(id) <- [];
-            f.fb_len <- id + 1;
-            open_slot_append f id;
-            commit_fast id)
+    match t.first_fit with
+    | Some tag ->
+        (* First Fit off the index: the leftmost slot whose residual
+           admits the item, in O(log open bins), with no view list and
+           no handler call.  Slots ascend by bin id and scaled integers
+           order exactly as the rationals they stand for, so this is
+           the bin [Fit.first] would pick from the views.  The lookup
+           is charged to the policy phase; there is no views phase. *)
+        let tok = Dbp_obs.Profile.enter t.profile in
+        let slot = Residual_tree.first_fit f.fo_fit size_s in
+        Dbp_obs.Profile.leave t.profile "policy" tok;
+        let tok = Dbp_obs.Profile.enter t.profile in
+        if slot >= 0 then
+          commit_fast t f ~target:f.fo_views.(slot).Bin.bin_id ~item_id ~now
+            ~size ~size_s tok
+        else open_fast t f ~tag ~item_id ~now ~now_s ~size ~size_s tok
+    | None -> (
+        let tok = Dbp_obs.Profile.enter t.profile in
+        let views = fast_views f in
+        Dbp_obs.Profile.leave t.profile "views" tok;
+        let tok = Dbp_obs.Profile.enter t.profile in
+        let decision =
+          t.handlers.Policy.on_arrival ~now ~bins:views ~size ~item_id
+        in
+        Dbp_obs.Profile.leave t.profile "policy" tok;
+        let tok = Dbp_obs.Profile.enter t.profile in
+        match decision with
+        | Policy.Existing id ->
+            if id < 0 || id >= f.fb_len then
+              invalid_decision "policy chose unknown bin %d" id;
+            if Option.is_some f.fb_closed.(id) then
+              invalid_decision "policy chose closed bin %d" id;
+            if f.fb_level.(id) + size_s > f.fb_cap_s.(id) then
+              invalid_decision "item %d does not fit in bin %d" item_id id;
+            commit_fast t f ~target:id ~item_id ~now ~size ~size_s tok
+        | Policy.New_bin tag ->
+            open_fast t f ~tag ~item_id ~now ~now_s ~size ~size_s tok)
 
   let arrive t ~now ~size ~item_id =
     match t.track with
@@ -964,7 +1016,8 @@ module Online = struct
      end
      else begin
        f.fb_level.(b) <- f.fb_level.(b) - f.fi_size_s.(item_id);
-       mark_dirty f b
+       mark_dirty f b;
+       refresh_fit f b
      end);
     Dbp_obs.Profile.leave t.profile "commit" tok;
     (if t.handlers.Policy.on_departure != Policy.no_departure_handler
@@ -1231,7 +1284,8 @@ module Online = struct
      end
      else begin
        f.fb_level.(src) <- f.fb_level.(src) - size_s;
-       mark_dirty f src
+       mark_dirty f src;
+       refresh_fit f src
      end);
     (* Destination side, under the fresh id. *)
     f.fi_bin.(new_item_id) <- to_bin;
@@ -1246,6 +1300,7 @@ module Online = struct
     f.fb_active.(to_bin) <- f.fb_active.(to_bin) + 1;
     f.fb_items_rev.(to_bin) <- new_item_id :: f.fb_items_rev.(to_bin);
     mark_dirty f to_bin;
+    refresh_fit f to_bin;
     Dbp_obs.Profile.leave t.profile "commit" tok;
     if t.audit then audit_fast t f;
     src_closed

@@ -133,7 +133,8 @@ let r5_allowlisted path =
 
 let r6_hot_modules =
   [
-    "simulator.ml"; "open_index.ml"; "bin.ml"; "packing.ml"; "event.ml";
+    "simulator.ml"; "open_index.ml"; "residual_tree.ml"; "bin.ml";
+    "packing.ml"; "event.ml";
     (* The per-arrival policy handlers are on the same O(open bins)
        event path as the engine itself.  [fit.ml] stays exempt: its
        single vetted scan over the open-fleet view is the primitive

@@ -65,7 +65,8 @@ let all_typed_rules =
         "boxed allocations (closures, tuples, records, non-constant \
          constructors) or Rat.t-returning applications beyond a \
          threshold inside the engine's commit/view functions in \
-         lib/core/simulator.ml — the static side of the bench \
+         lib/core/simulator.ml and the placement index in \
+         lib/core/residual_tree.ml — the static side of the bench \
          --assert-floor perf gate";
     };
   ]
@@ -444,19 +445,37 @@ let check_t3_spawn ctx spawn_arg =
 
 (* ---- T4: allocation census of the commit/view core ------------------- *)
 
-(* The fast-track per-event core, by name.  Deliberately NOT every
+(* The fast-track per-event core, by file and name, with each
+   function's (boxed, Rat temporaries) budget.  Deliberately NOT every
    [commit_*]: [commit_arrival_exact] is the exact track — the boxed
    fallback the fast path exists to avoid — and reporting helpers like
-   [fast_timeline_and_cost] run once per run, not per event. *)
-let t4_hot_name n =
-  List.mem n
-    [
-      "commit_fast"; "fast_view"; "refresh_slot"; "mark_dirty";
-      "flush_views"; "open_slot_append"; "open_slot_remove"; "fast_views";
-      "fast_advance_clock_s"; "fast_advance_clock";
-    ]
+   [fast_timeline_and_cost] run once per run, not per event.  The
+   placement index's per-event operations allocate nothing at all;
+   its amortised doubling ([grow]) and audit check are left out. *)
+let t4_hot_functions =
+  let core = (t4_max_boxed, t4_max_rat_temps) and index = (0, 0) in
+  [
+    ( "lib/core/simulator.ml",
+      List.map
+        (fun n -> (n, core))
+        [
+          "commit_fast"; "open_fast"; "fast_view"; "refresh_slot";
+          "refresh_fit"; "mark_dirty"; "flush_views"; "open_slot_append";
+          "open_slot_remove"; "fast_views"; "fast_advance_clock_s";
+          "fast_advance_clock";
+        ] );
+    ( "lib/core/residual_tree.ml",
+      List.map
+        (fun n -> (n, index))
+        [ "max_of"; "update"; "append"; "remove"; "first_fit"; "max_residual" ]
+    );
+  ]
 
-let t4_applies path = Rules.has_infix ~infix:"lib/core/simulator.ml" path
+let t4_budget ~path name =
+  List.find_map
+    (fun (file, fns) ->
+      if Rules.has_infix ~infix:file path then List.assoc_opt name fns else None)
+    t4_hot_functions
 
 type census = {
   mutable closures : int;
@@ -519,20 +538,20 @@ let census_of ctx body =
   | _ -> it.Tast_iterator.expr it body);
   c
 
-let check_t4 ctx ~loc name body =
+let check_t4 ctx ~loc name (max_boxed, max_rat) body =
   let c = census_of ctx body in
   let boxed = c.closures + c.tuples + c.records + c.constructs in
   if Sys.getenv_opt "DBP_LINT_T4_DEBUG" <> None then
     Printf.eprintf "T4 census %s: boxed=%d (c=%d t=%d r=%d k=%d) rat=%d\n%!"
       name boxed c.closures c.tuples c.records c.constructs c.rat_temps;
-  if boxed > t4_max_boxed || c.rat_temps > t4_max_rat_temps then
+  if boxed > max_boxed || c.rat_temps > max_rat then
     report ctx ~rule:"T4" ~loc
       "hot commit/view function %s allocates on the per-event path: %d \
        boxed (%d closures, %d tuples, %d records, %d constructors; max %d) \
        and %d Rat.t temporaries (max %d); keep the commit core on unboxed \
        scaled ints"
-      name boxed c.closures c.tuples c.records c.constructs t4_max_boxed
-      c.rat_temps t4_max_rat_temps
+      name boxed c.closures c.tuples c.records c.constructs max_boxed
+      c.rat_temps max_rat
 
 (* ---- entry point ----------------------------------------------------- *)
 
@@ -585,11 +604,13 @@ let check ~path ~unit_name ~taint str =
           default.Tast_iterator.typ self ct);
       Tast_iterator.value_binding =
         (fun self vb ->
-          (if t4_applies path then
-             match vb.vb_pat.pat_desc with
-             | Tpat_var (_, { txt = name; _ }) when t4_hot_name name ->
-                 check_t4 ctx ~loc:vb.vb_pat.pat_loc name vb.vb_expr
-             | _ -> ());
+          (match vb.vb_pat.pat_desc with
+          | Tpat_var (_, { txt = name; _ }) -> (
+              match t4_budget ~path name with
+              | Some budget ->
+                  check_t4 ctx ~loc:vb.vb_pat.pat_loc name budget vb.vb_expr
+              | None -> ())
+          | _ -> ());
           default.Tast_iterator.value_binding self vb);
     }
   in

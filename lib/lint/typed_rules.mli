@@ -11,7 +11,8 @@
     T3 flags mutable state captured by closures handed to
     [Domain.spawn] outside the approved parallel runner; T4 counts
     boxed allocations and [Rat.t] temporaries inside the engine's
-    commit/view functions against fixed thresholds.  See DESIGN.md
+    commit/view functions and its placement index against per-function
+    budgets.  See DESIGN.md
     "Correctness tooling" for each rule's remaining blind spots. *)
 
 val all_typed_rules : Rules.rule list
@@ -19,12 +20,16 @@ val find_typed_rule : string -> Rules.rule
 
 val t4_max_boxed : int
 val t4_max_rat_temps : int
-(** The T4 gate: a commit/view function may allocate at most this many
-    boxed values / Rat.t-returning applications (statically counted)
-    before it is flagged. *)
+(** The T4 gate for the engine core: a commit/view function in
+    [lib/core/simulator.ml] may allocate at most this many boxed values
+    / Rat.t-returning applications (statically counted) before it is
+    flagged.  The placement index's per-event functions
+    ([lib/core/residual_tree.ml]) get none at all. *)
 
-val t4_hot_name : string -> bool
-(** Is this binding name part of the engine's commit/view core? *)
+val t4_budget : path:string -> string -> (int * int) option
+(** [t4_budget ~path name] is the [(boxed, Rat temporaries)] budget of
+    binding [name] in file [path] if it is part of the engine's
+    per-event core, [None] otherwise. *)
 
 val norm_unit : string -> string
 (** Strips dune's [Lib__Module] mangling: ["Dbp_num__Rat"] → ["Rat"]. *)

@@ -838,8 +838,10 @@ let percentile sorted q =
    Sizes are mostly grid-minimum (1..4 thousandths, hundreds of
    sessions per bin) with one in 1024 large (above capacity/2), so the
    router's large/small split is exercised while the open-bin
-   population — which every placement decision walks — stays in the
-   low thousands even with a million residents. *)
+   population stays in the low thousands even with a million
+   residents.  A view-scanning policy walks that population on every
+   placement; First Fit on the fixed-point track descends its
+   max-residual tree instead. *)
 let bench_size i =
   if i land 1023 = 0 then "501/1000"
   else Printf.sprintf "%d/1000" (1 + (i land 3))

@@ -70,16 +70,137 @@ let prop_equivalence =
 
 (* ---- equivalence under fail_bin storms ------------------------------ *)
 
-(* Drives both Online engines in lockstep through a seeded random
-   session workload with crashes striking between the integer steps,
-   asserting identical observable state throughout and identical
-   packings at the end.  Mirrors what [Dbp_faults.Injector] does to the
-   engine, without the retry machinery in the way. *)
-let run_storm ?grid ~seed ~steps policy =
+(* The reference side of a lockstep storm: the seed engine, or the
+   exact track of the real one where the seed engine cannot follow
+   ([migrate]). *)
+type reference = {
+  r_arrive : now:Rat.t -> size:Rat.t -> item_id:int -> int;
+  r_depart : now:Rat.t -> item_id:int -> unit;
+  r_fail_bin : now:Rat.t -> bin_id:int -> (int * Rat.t) list;
+  r_migrate : now:Rat.t -> item_id:int -> to_bin:int -> new_item_id:int -> bool;
+  r_open_bins : unit -> Bin.view list;
+  r_finish : instance:Instance.t -> Packing.t;
+}
+
+let naive_reference policy =
+  let o = Simulator_naive.Online.create ~policy ~capacity:Rat.one () in
+  {
+    r_arrive = Simulator_naive.Online.arrive o;
+    r_depart = Simulator_naive.Online.depart o;
+    r_fail_bin = Simulator_naive.Online.fail_bin o;
+    r_migrate =
+      (fun ~now:_ ~item_id:_ ~to_bin:_ ~new_item_id:_ ->
+        Alcotest.fail "the seed engine has no migrate");
+    r_open_bins = (fun () -> Simulator_naive.Online.open_bins o);
+    r_finish = Simulator_naive.Online.finish o;
+  }
+
+let exact_reference policy =
+  let o = Simulator.Online.create ~policy ~capacity:Rat.one () in
+  {
+    r_arrive = Simulator.Online.arrive o;
+    r_depart = Simulator.Online.depart o;
+    r_fail_bin = Simulator.Online.fail_bin o;
+    r_migrate = Simulator.Online.migrate o;
+    r_open_bins = (fun () -> Simulator.Online.open_bins o);
+    r_finish = Simulator.Online.finish o;
+  }
+
+(* What a storm does per integer step. *)
+type shape = {
+  size_max : int;  (* sizes k/size_den, 1 <= k <= size_max *)
+  size_den : int;
+  arrivals_max : int;  (* 1 .. arrivals_max arrivals *)
+  departures : int;  (* up to this many departures *)
+  migrations : int;  (* up to this many live migrations *)
+  crash_one_in : int;  (* a crash between steps with probability 1/n *)
+  victim : Dbp_rand.Pcg32.t -> crash:int -> open_bins:int -> int;
+      (* opening-order position of the bin a crash strikes *)
+  off_grid_at : int option;
+      (* a step that ends in a crash at an off-grid instant *)
+}
+
+(* A few dozen bins of twelfths, crashes at random positions. *)
+let sparse =
+  {
+    size_max = 12;
+    size_den = 12;
+    arrivals_max = 3;
+    departures = 1;
+    migrations = 0;
+    crash_one_in = 3;
+    victim = (fun rng ~crash:_ ~open_bins -> Dbp_rand.Pcg32.next_int rng open_bins);
+    off_grid_at = None;
+  }
+
+(* Hundreds of open bins: sizes in (0, 1/10] and sessions that mostly
+   outlive the storm.  Crashes take the leftmost, the rightmost and a
+   middle open bin in turn. *)
+let dense =
+  {
+    size_max = 12;
+    size_den = 120;
+    arrivals_max = 40;
+    departures = 2;
+    migrations = 0;
+    crash_one_in = 8;
+    victim =
+      (fun _ ~crash ~open_bins ->
+        match crash mod 3 with
+        | 0 -> 0
+        | 1 -> open_bins - 1
+        | _ -> open_bins / 2);
+    off_grid_at = None;
+  }
+
+(* What a storm exercised, for the legs that must prove their reach. *)
+type coverage = {
+  mutable max_open : int;
+  mutable ties : int;
+      (* arrivals whose first fitting bin shares its residual with a
+         later fitting bin *)
+  mutable crashed_left : int;
+  mutable crashed_middle : int;
+  mutable crashed_right : int;
+  mutable migrated : int;
+  mutable open_off_grid : int;  (* open bins the off-grid crash met *)
+}
+
+let count_tie cov views ~size =
+  match
+    List.filter (fun (v : Bin.view) -> Rat.(size <= v.Bin.bin_residual)) views
+  with
+  | first :: later ->
+      if
+        List.exists
+          (fun (v : Bin.view) -> Rat.equal v.Bin.bin_residual first.Bin.bin_residual)
+          later
+      then cov.ties <- cov.ties + 1
+  | [] -> ()
+
+(* Drives the engine and a reference in lockstep through a seeded
+   random session workload with crashes striking between the integer
+   steps, asserting identical observable state throughout and
+   identical packings at the end.  Mirrors what [Dbp_faults.Injector]
+   does to the engine, without the retry machinery in the way. *)
+let run_storm ?grid ?(audit = false) ?(shape = sparse)
+    ?(reference = naive_reference) ~seed ~steps policy =
   let rng = Dbp_rand.Pcg32.create seed in
-  let fast = Simulator.Online.create ?grid ~policy ~capacity:Rat.one () in
-  let naive = Simulator_naive.Online.create ~policy ~capacity:Rat.one () in
+  let fast = Simulator.Online.create ~audit ?grid ~policy ~capacity:Rat.one () in
+  let ref_ = reference policy in
+  let cov =
+    {
+      max_open = 0;
+      ties = 0;
+      crashed_left = 0;
+      crashed_middle = 0;
+      crashed_right = 0;
+      migrated = 0;
+      open_off_grid = 0;
+    }
+  in
   let next_id = ref 0 in
+  let crashes = ref 0 in
   let active : (int, Rat.t * Rat.t) Hashtbl.t = Hashtbl.create 64 in
   (* id -> (size, arrival) *)
   let stopped = ref [] in
@@ -91,53 +212,100 @@ let run_storm ?grid ~seed ~steps policy =
   in
   let views_agree ~at =
     let vf = Simulator.Online.open_bins fast in
-    let vn = Simulator_naive.Online.open_bins naive in
+    let vn = ref_.r_open_bins () in
     if vf <> vn then
       Alcotest.failf "open-bin views diverge at t=%a under %s" Rat.pp at
-        policy.Policy.name
+        policy.Policy.name;
+    cov.max_open <- max cov.max_open (List.length vf)
+  in
+  (* Active items that arrived before [now], in id order: the ones
+     whose segment can end now without being empty. *)
+  let settled ~now =
+    Hashtbl.fold
+      (fun id (_, arrival) acc -> if Rat.(arrival < now) then id :: acc else acc)
+      active []
+    |> List.sort compare
   in
   for step = 0 to steps - 1 do
     let now = Rat.of_int step in
     (* a few arrivals *)
-    let arrivals = 1 + Dbp_rand.Pcg32.next_int rng 3 in
+    let arrivals = 1 + Dbp_rand.Pcg32.next_int rng shape.arrivals_max in
     for _ = 1 to arrivals do
-      let size = Rat.make (1 + Dbp_rand.Pcg32.next_int rng 12) 12 in
+      let size =
+        Rat.make (1 + Dbp_rand.Pcg32.next_int rng shape.size_max) shape.size_den
+      in
       let id = !next_id in
       incr next_id;
+      count_tie cov (ref_.r_open_bins ()) ~size;
       let bf = Simulator.Online.arrive fast ~now ~size ~item_id:id in
-      let bn = Simulator_naive.Online.arrive naive ~now ~size ~item_id:id in
+      let bn = ref_.r_arrive ~now ~size ~item_id:id in
       Alcotest.(check int) "same placement" bf bn;
       Hashtbl.replace active id (size, now)
     done;
     views_agree ~at:now;
-    (* maybe a departure of a random active item that arrived earlier *)
-    let departable =
-      Hashtbl.fold
-        (fun id (_, arrival) acc ->
-          if Rat.(arrival < now) then id :: acc else acc)
-        active []
-      |> List.sort compare
-    in
-    (match departable with
-    | [] -> ()
-    | ids ->
-        let id = List.nth ids (Dbp_rand.Pcg32.next_int rng (List.length ids)) in
-        Simulator.Online.depart fast ~now ~item_id:id;
-        Simulator_naive.Online.depart naive ~now ~item_id:id;
-        stop ~at:now id;
-        views_agree ~at:now);
+    (* departures of random active items that arrived earlier *)
+    for _ = 1 to shape.departures do
+      match settled ~now with
+      | [] -> ()
+      | ids ->
+          let id = List.nth ids (Dbp_rand.Pcg32.next_int rng (List.length ids)) in
+          Simulator.Online.depart fast ~now ~item_id:id;
+          ref_.r_depart ~now ~item_id:id;
+          stop ~at:now id;
+          views_agree ~at:now
+    done;
+    (* live migrations of settled items into another bin with room *)
+    for _ = 1 to shape.migrations do
+      match settled ~now with
+      | [] -> ()
+      | ids -> (
+          let id = List.nth ids (Dbp_rand.Pcg32.next_int rng (List.length ids)) in
+          let size, _ = Hashtbl.find active id in
+          let home = Simulator.Online.bin_of_item fast id in
+          match
+            List.filter
+              (fun (v : Bin.view) ->
+                Some v.Bin.bin_id <> home && Rat.(size <= v.Bin.bin_residual))
+              (Simulator.Online.open_bins fast)
+          with
+          | [] -> ()
+          | dests ->
+              let to_bin =
+                (List.nth dests
+                   (Dbp_rand.Pcg32.next_int rng (List.length dests)))
+                  .Bin.bin_id
+              in
+              let new_item_id = !next_id in
+              incr next_id;
+              let cf =
+                Simulator.Online.migrate fast ~now ~item_id:id ~to_bin
+                  ~new_item_id
+              in
+              let cn = ref_.r_migrate ~now ~item_id:id ~to_bin ~new_item_id in
+              Alcotest.(check bool) "same source close" cf cn;
+              stop ~at:now id;
+              Hashtbl.replace active new_item_id (size, now);
+              cov.migrated <- cov.migrated + 1;
+              views_agree ~at:now)
+    done;
     (* crash between steps: strike the same bin in both engines *)
-    if Dbp_rand.Pcg32.next_int rng 3 = 0 then begin
-      let at = Rat.add now (Rat.make 1 2) in
+    let off_grid = shape.off_grid_at = Some step in
+    if off_grid || Dbp_rand.Pcg32.next_int rng shape.crash_one_in = 0 then begin
+      let at = Rat.add now (if off_grid then Rat.make 1 7 else Rat.make 1 2) in
       match Simulator.Online.open_bins fast with
       | [] -> ()
       | views ->
-          let victim =
-            (List.nth views (Dbp_rand.Pcg32.next_int rng (List.length views)))
-              .Bin.bin_id
-          in
+          let n = List.length views in
+          if off_grid then cov.open_off_grid <- n;
+          let pos = shape.victim rng ~crash:!crashes ~open_bins:n in
+          incr crashes;
+          if n >= 3 then
+            if pos = 0 then cov.crashed_left <- cov.crashed_left + 1
+            else if pos = n - 1 then cov.crashed_right <- cov.crashed_right + 1
+            else cov.crashed_middle <- cov.crashed_middle + 1;
+          let victim = (List.nth views pos).Bin.bin_id in
           let ef = Simulator.Online.fail_bin fast ~now:at ~bin_id:victim in
-          let en = Simulator_naive.Online.fail_bin naive ~now:at ~bin_id:victim in
+          let en = ref_.r_fail_bin ~now:at ~bin_id:victim in
           Alcotest.(check (list (pair int rat)))
             "same evictions in same order" ef en;
           List.iter (fun (id, _) -> stop ~at id) ef;
@@ -150,7 +318,7 @@ let run_storm ?grid ~seed ~steps policy =
   |> List.sort compare
   |> List.iter (fun id ->
          Simulator.Online.depart fast ~now:finis ~item_id:id;
-         Simulator_naive.Online.depart naive ~now:finis ~item_id:id;
+         ref_.r_depart ~now:finis ~item_id:id;
          stop ~at:finis id);
   views_agree ~at:finis;
   let effective =
@@ -161,15 +329,18 @@ let run_storm ?grid ~seed ~steps policy =
          (List.sort (fun (a, _, _, _) (b, _, _, _) -> compare b a) !stopped))
   in
   let pf = Simulator.Online.finish fast ~instance:effective in
-  let pn = Simulator_naive.Online.finish naive ~instance:effective in
+  let pn = ref_.r_finish ~instance:effective in
   if not (packing_equal pf pn) then
     Alcotest.failf "storm packings diverge under %s (seed %Ld)"
-      policy.Policy.name seed
+      policy.Policy.name seed;
+  (fast, cov)
 
 let test_storm_equivalence () =
   List.iter
     (fun seed ->
-      List.iter (run_storm ~seed ~steps:40) (Algorithms.all ()))
+      List.iter
+        (fun p -> ignore (run_storm ~seed ~steps:40 p))
+        (Algorithms.all ()))
     [ 3L; 5L; 8L; 13L; 21L ]
 
 (* Same storms on the fixed-point track: sizes are twelfths and crash
@@ -181,8 +352,140 @@ let test_fixed_storm_equivalence () =
   in
   List.iter
     (fun seed ->
-      List.iter (run_storm ~grid ~seed ~steps:40) (Algorithms.all ()))
+      List.iter
+        (fun p -> ignore (run_storm ~grid ~seed ~steps:40 p))
+        (Algorithms.all ()))
     [ 3L; 13L; 21L ]
+
+(* ---- dense storms: First Fit off the max-residual index ------------- *)
+
+(* Sizes are 120ths and crash instants halves, so a 1/120 grid admits
+   every on-grid input and 1/7 lies off it. *)
+let dense_grid =
+  match Fixed.scale_of_den 120 with Some s -> s | None -> assert false
+
+(* Hundreds of open bins under an audited fast engine, so the tree is
+   re-derived after every event: it doubles from 64 leaves past 128
+   and 256, residuals tie, and the leftmost, rightmost and middle open
+   bins fail. *)
+let test_dense_storm () =
+  let fast, cov =
+    run_storm ~grid:dense_grid ~audit:true ~shape:dense ~seed:5L ~steps:340
+      First_fit.policy
+  in
+  Alcotest.(check string) "stayed fixed" "fixed" (Simulator.Online.track_name fast);
+  Alcotest.(check bool)
+    (Printf.sprintf "at least 300 bins open at once (%d)" cov.max_open)
+    true (cov.max_open >= 300);
+  Alcotest.(check bool) "equal residuals tie" true (cov.ties > 0);
+  Alcotest.(check bool)
+    "leftmost, rightmost and middle open bins fail" true
+    (cov.crashed_left > 0 && cov.crashed_right > 0 && cov.crashed_middle > 0)
+
+(* The seed engine has no migrate: this leg checks against the exact
+   track of the real engine. *)
+let test_dense_storm_migrate () =
+  let fast, cov =
+    run_storm ~grid:dense_grid ~audit:true
+      ~shape:{ dense with migrations = 2 }
+      ~reference:exact_reference ~seed:8L ~steps:200 First_fit.policy
+  in
+  Alcotest.(check string) "stayed fixed" "fixed" (Simulator.Online.track_name fast);
+  Alcotest.(check bool) "items migrated" true (cov.migrated > 100)
+
+(* A crash at an off-grid instant mid-storm degrades the fast engine to
+   the exact track; nothing observable may change. *)
+let test_dense_storm_degrade () =
+  let fast, cov =
+    run_storm ~grid:dense_grid ~audit:true
+      ~shape:{ dense with off_grid_at = Some 150 }
+      ~seed:13L ~steps:200 First_fit.policy
+  in
+  Alcotest.(check string) "degraded" "exact" (Simulator.Online.track_name fast);
+  Alcotest.(check bool)
+    (Printf.sprintf "dense when it degraded (%d open)" cov.open_off_grid)
+    true (cov.open_off_grid >= 100)
+
+(* ---- the max-residual tree against a plain array -------------------- *)
+
+(* Random appends, updates and removals, each followed by a query for
+   every size and the root, checked against a linear scan of a model
+   array — and the tree's own full re-derivation. *)
+let prop_residual_tree =
+  qcheck ~count:200 "max-residual tree answers like a linear scan"
+    QCheck2.Gen.(
+      list_size (int_range 1 300)
+        (triple (int_range 0 9) (int_range 0 1000) (int_range 0 12)))
+    (fun ops ->
+      let t = Residual_tree.create () in
+      let model = ref [||] in
+      let len () = Array.length !model in
+      List.for_all
+        (fun (op, at, v) ->
+          (match op with
+          | 0 | 1 | 2 | 3 ->
+              Residual_tree.append t ~slot:(len ()) v;
+              model := Array.append !model [| v |]
+          | 4 | 5 | 6 when len () > 0 ->
+              let slot = at mod len () in
+              Residual_tree.update t ~slot v;
+              !model.(slot) <- v
+          | _ when len () > 0 ->
+              let slot = at mod len () in
+              Residual_tree.remove t ~slot ~len:(len ());
+              model :=
+                Array.append
+                  (Array.sub !model 0 slot)
+                  (Array.sub !model (slot + 1) (len () - slot - 1))
+          | _ -> ());
+          let scan size =
+            let rec go s =
+              if s >= len () then -1 else if !model.(s) >= size then s else go (s + 1)
+            in
+            go 0
+          in
+          Residual_tree.check t ~len:(len ()) ~residual:(fun s -> !model.(s))
+          = Ok ()
+          && Residual_tree.max_residual t = Array.fold_left max (-1) !model
+          && List.for_all
+               (fun size -> Residual_tree.first_fit t size = scan size)
+               (List.init 13 (fun k -> k + 1)))
+        ops)
+
+(* ---- allocation pin: First Fit off the index ------------------------ *)
+
+(* Minor words one fast-track First Fit arrival allocates when it lands
+   in an existing bin with [n] bins open.  Every bin but the newest is
+   full, so the lookup walks to the rightmost slot; on the views path
+   the same arrival cost three words per open bin. *)
+let ff_arrival_words n =
+  let grid =
+    match Fixed.scale_of_den 4 with Some s -> s | None -> assert false
+  in
+  let o =
+    Simulator.Online.create ~grid ~policy:First_fit.policy ~capacity:Rat.one ()
+  in
+  for id = 0 to n - 2 do
+    ignore (Simulator.Online.arrive o ~now:Rat.zero ~size:Rat.one ~item_id:id)
+  done;
+  ignore (Simulator.Online.arrive o ~now:Rat.zero ~size:(r 1 2) ~item_id:(n - 1));
+  let now = Rat.one and size = r 1 4 in
+  let before = Gc.minor_words () in
+  let bin = Simulator.Online.arrive o ~now ~size ~item_id:n in
+  let words = int_of_float (Gc.minor_words () -. before) in
+  Alcotest.(check string) "fast track" "fixed" (Simulator.Online.track_name o);
+  Alcotest.(check int) "lands in the newest bin" (n - 1) bin;
+  words
+
+let test_ff_arrival_allocation () =
+  let small = ff_arrival_words 100 and large = ff_arrival_words 10_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "<= 16 words with 100 bins open (%d)" small)
+    true (small <= 16);
+  Alcotest.(check bool)
+    (Printf.sprintf "<= 16 words with 10000 bins open (%d)" large)
+    true (large <= 16);
+  Alcotest.(check int) "independent of the open population" small large
 
 (* ---- two-track engine: fixed fast path vs forced exact -------------- *)
 
@@ -400,6 +703,15 @@ let suite =
     prop_equivalence;
     Alcotest.test_case "fail_bin storms: engines bit-identical" `Quick
       test_storm_equivalence;
+    Alcotest.test_case "dense First Fit storm: index audited, bit-identical"
+      `Quick test_dense_storm;
+    Alcotest.test_case "dense storm with migrations vs the exact track" `Quick
+      test_dense_storm_migrate;
+    Alcotest.test_case "dense storm degrading mid-run" `Quick
+      test_dense_storm_degrade;
+    prop_residual_tree;
+    Alcotest.test_case "First Fit arrival allocation is flat" `Quick
+      test_ff_arrival_allocation;
     Alcotest.test_case "fixed-track storms: engines bit-identical" `Quick
       test_fixed_storm_equivalence;
     Alcotest.test_case "fixed vs forced-exact runs bit-identical" `Quick

@@ -242,7 +242,21 @@ let test_t4 () =
   check_fires "T4" "lib/core/simulator.ml"
     "let mark_dirty x =\n\
     \  ignore (String.concat \",\" [ \"a\"; \"b\"; \"c\"; \"d\"; \"e\" ]);\n\
-    \  x\n"
+    \  x\n";
+  (* the placement index has a zero budget: one tuple is too many... *)
+  check_fires "T4" "lib/core/residual_tree.ml"
+    "let first_fit x =\n  let p = (x, x + 1) in\n  fst p\n";
+  check_silent "T4" "lib/core/residual_tree.ml"
+    "let first_fit x = if x > 0 then x - 1 else -1\n";
+  (* ... and a rational temporary too *)
+  check_fires "T4" "lib/core/residual_tree.ml"
+    (rat_stub ^ "let update (a : Rat.t) = Rat.equal (Rat.add a a) Rat.zero\n");
+  (* budgets are per file: the index's names are not hot in the engine,
+     and its amortised doubling is not on the census *)
+  check_silent "T4" "lib/core/simulator.ml"
+    "let first_fit x =\n  let p = (x, x + 1) in\n  fst p\n";
+  check_silent "T4" "lib/core/residual_tree.ml"
+    "let grow x =\n  let p = (x, x + 1) in\n  fst p\n"
 
 (* ---- plumbing: shared findings, fingerprints, typecheck errors ------- *)
 
