@@ -384,7 +384,7 @@ let diff_cmd =
 
 let experiments_cmd =
   let names =
-    Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc:"E1..E19 (default: all).")
+    Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc:"E1..E21 (default: all).")
   in
   let markdown =
     Arg.(value & flag & info [ "markdown" ] ~doc:"Render tables as markdown.")
@@ -396,7 +396,7 @@ let experiments_cmd =
   let jobs =
     Arg.(value & opt int 1
          & info [ "j"; "jobs" ]
-             ~doc:"Domains to spread E1..E19 over (0 = one per core, \
+             ~doc:"Domains to spread E1..E21 over (0 = one per core, \
                    capped).  Output is identical whatever the value.")
   in
   let run names markdown out_dir jobs =
@@ -482,7 +482,7 @@ let experiments_cmd =
   in
   Cmd.v
     (Cmd.info "experiments"
-       ~doc:"Regenerate the paper's tables and figures (E1..E19).")
+       ~doc:"Regenerate the paper's tables and figures (E1..E21).")
     Term.(const run $ names $ markdown $ out_dir $ jobs)
 
 (* ---- faults --------------------------------------------------------- *)

@@ -42,112 +42,6 @@ let enabled_from_env () =
   | Some ("1" | "true" | "yes" | "on") -> true
   | _ -> false
 
-(* ---- per-bin invariants --------------------------------------------- *)
-
-(* The engine's memoised per-bin state (level, view cache, max level)
-   must equal a recompute from the keyed active table.  Protects the
-   cost bookkeeping every theorem ratio divides by. *)
-let check_bin ?time (b : Bin.t) =
-  let fail fmt = fail ?time ~bin_id:b.Bin.id ~check:"bin" fmt in
-  let recomputed =
-    Hashtbl.fold
-      (fun _ (r : Item.t) acc -> Rat.add acc r.Item.size)
-      b.Bin.active Rat.zero
-  in
-  if not (Rat.equal recomputed b.Bin.level) then
-    fail "memoised level %s <> recomputed %s" (Rat.to_string b.Bin.level)
-      (Rat.to_string recomputed);
-  if Rat.(b.Bin.level > b.Bin.capacity) then
-    fail "level %s exceeds capacity %s" (Rat.to_string b.Bin.level)
-      (Rat.to_string b.Bin.capacity);
-  if Rat.(b.Bin.max_level < b.Bin.level) then
-    fail "max_level %s below current level %s" (Rat.to_string b.Bin.max_level)
-      (Rat.to_string b.Bin.level);
-  if Bin.is_open b && Hashtbl.length b.Bin.active = 0 then
-    fail "open bin is empty (should have closed)";
-  (* memoised view = recompute-from-scratch *)
-  let v = Bin.view b and w = Bin.to_view b in
-  if
-    not
-      (v.Bin.bin_id = w.Bin.bin_id
-      && String.equal v.Bin.bin_tag w.Bin.bin_tag
-      && Rat.equal v.Bin.bin_capacity w.Bin.bin_capacity
-      && Rat.equal v.Bin.bin_level w.Bin.bin_level
-      && Rat.equal v.Bin.bin_residual w.Bin.bin_residual
-      && Rat.equal v.Bin.bin_opened w.Bin.bin_opened
-      && v.Bin.bin_count = w.Bin.bin_count)
-  then
-    fail "memoised view diverges from recomputed view (level %s/%s, count %d/%d)"
-      (Rat.to_string v.Bin.bin_level)
-      (Rat.to_string w.Bin.bin_level)
-      v.Bin.bin_count w.Bin.bin_count
-
-(* ---- migration conservation ----------------------------------------- *)
-
-(* A migration must conserve volume exactly: the source bin's level
-   drops by precisely the moved size (to zero if the move emptied and
-   closed it) and the destination's rises by precisely the moved size,
-   staying within capacity.  The moved item must end up tracked in the
-   destination and nowhere else — limited-recourse repacking moves
-   items, it never duplicates or loses them. *)
-let check_move ?time ~size ~(src : Bin.t) ~(dst : Bin.t) ~src_level_before
-    ~dst_level_before ~item_id ~new_item_id () =
-  let fail ?bin_id fmt = fail ?time ?bin_id ~check:"migration" fmt in
-  if Rat.sign size <= 0 then
-    fail "migrated item %d has size %s <= 0" item_id (Rat.to_string size);
-  (if Bin.is_open src then begin
-     let expected = Rat.sub src_level_before size in
-     if not (Rat.equal src.Bin.level expected) then
-       fail ~bin_id:src.Bin.id
-         "source level %s after the move, expected %s (before %s - size %s)"
-         (Rat.to_string src.Bin.level)
-         (Rat.to_string expected)
-         (Rat.to_string src_level_before)
-         (Rat.to_string size)
-   end
-   else begin
-     (* The move emptied the source: it closed holding exactly the
-        moved item, and its level was zeroed. *)
-     if not (Rat.equal src_level_before size) then
-       fail ~bin_id:src.Bin.id
-         "source closed on the move but held %s, not just the moved %s"
-         (Rat.to_string src_level_before)
-         (Rat.to_string size);
-     if not (Rat.is_zero src.Bin.level) then
-       fail ~bin_id:src.Bin.id "closed source retains level %s"
-         (Rat.to_string src.Bin.level);
-     if Bin.active_count src <> 0 then
-       fail ~bin_id:src.Bin.id "closed source retains %d active items"
-         (Bin.active_count src)
-   end);
-  let expected_dst = Rat.add dst_level_before size in
-  if not (Rat.equal dst.Bin.level expected_dst) then
-    fail ~bin_id:dst.Bin.id
-      "destination level %s after the move, expected %s (before %s + size %s)"
-      (Rat.to_string dst.Bin.level)
-      (Rat.to_string expected_dst)
-      (Rat.to_string dst_level_before)
-      (Rat.to_string size);
-  if Rat.(dst.Bin.level > dst.Bin.capacity) then
-    fail ~bin_id:dst.Bin.id "destination over capacity after the move (%s > %s)"
-      (Rat.to_string dst.Bin.level)
-      (Rat.to_string dst.Bin.capacity);
-  (match Bin.find_active dst new_item_id with
-  | Some r ->
-      if not (Rat.equal r.Item.size size) then
-        fail ~bin_id:dst.Bin.id
-          "migrated item %d re-entered with size %s, expected %s" new_item_id
-          (Rat.to_string r.Item.size)
-          (Rat.to_string size)
-  | None ->
-      fail ~bin_id:dst.Bin.id "migrated item %d not active in the destination"
-        new_item_id);
-  if Bin.find_active src item_id <> None then
-    fail ~bin_id:src.Bin.id "migrated item %d still active in the source"
-      item_id;
-  if Bin.find_active src new_item_id <> None then
-    fail ~bin_id:src.Bin.id "migrated item %d active in two bins" new_item_id
-
 (* ---- packing-level conservation ------------------------------------- *)
 
 (* Cost conservation: the accumulated total must equal both the sum of

@@ -9,6 +9,12 @@
     sum of bin open intervals = timeline integral).  The first
     divergence raises {!Audit_violation} with a structured payload.
 
+    This module holds the violation type and the packing-level check;
+    the per-event checks live with the state they re-derive: the exact
+    engine's families in {!Exact_engine} (shared by the scalar exact
+    track and the vector engine) and the [fast-*] families in
+    {!Simulator}'s fixed-point track.
+
     The auditor exists because the paper's Theorems 1–5 only hold
     under exact accounting: a silently corrupted level or cost would
     invalidate every reported ratio while still "looking plausible".
@@ -19,8 +25,9 @@ open Dbp_num
 
 type violation = {
   check : string;
-      (** Which invariant family: ["bin"], ["open-index"],
-          ["item-bin"], ["store"], ["migration"],
+      (** Which invariant family: in the exact engine (scalar and
+          vector alike) ["bin"], ["open-index"], ["item-bin"],
+          ["store"], ["migration"]; on finished packings
           ["cost-conservation"], ["packing"]; on the fixed-point
           track ["fast-open"], ["fast-index"] (the max-residual
           tree), ["fast-level"], ["fast-time"], ["fast-view"],
@@ -46,32 +53,6 @@ val enabled_from_env : unit -> bool
 (** True iff [DBP_AUDIT] is set to [1]/[true]/[yes]/[on].
     {!Simulator.run} uses it as the default audit setting, so
     [DBP_AUDIT=1 dune runtest] audits the whole test suite. *)
-
-val check_bin : ?time:Rat.t -> Bin.t -> unit
-(** Memoised level/view/max-level vs a recompute from the active
-    table; capacity; open-implies-nonempty.
-    @raise Audit_violation on the first divergence. *)
-
-val check_move :
-  ?time:Rat.t ->
-  size:Rat.t ->
-  src:Bin.t ->
-  dst:Bin.t ->
-  src_level_before:Rat.t ->
-  dst_level_before:Rat.t ->
-  item_id:int ->
-  new_item_id:int ->
-  unit ->
-  unit
-(** Migration-conservation invariants, checked by the engine after
-    every {!Simulator.Online.migrate} in audit mode: the moved volume
-    left the source exactly (or the source closed holding exactly the
-    moved item), entered the destination exactly, capacity still
-    holds, and the item is tracked in exactly one bin — active in the
-    destination under [new_item_id], absent from the source.
-    [src_level_before]/[dst_level_before] are the levels immediately
-    before the move.  @raise Audit_violation on the first
-    divergence. *)
 
 val check_packing : Packing.t -> unit
 (** Cost conservation plus full structural re-validation of a finished

@@ -64,9 +64,10 @@ module Online : sig
       arithmetic at all.  Admission is exact-or-refuse — the track is
       taken only if [capacity] converts exactly, and any later input
       off the grid (a time, a tag capacity, an out-of-range id) makes
-      the engine fall back to exact arithmetic by losslessly
-      materialising its state, so results are bit-identical either
-      way.  A [sink] or [metrics] tap forces the exact track. *)
+      the engine fall back to the exact track ({!Exact_engine.Scalar})
+      by restoring it from the fast store's {!Frozen} image, so
+      results are bit-identical either way.  A [sink] or [metrics]
+      tap forces the exact track. *)
 
   val arrive : t -> now:Rat.t -> size:Rat.t -> item_id:int -> int
   (** Feeds an arrival to the policy; returns the id of the bin the
@@ -139,11 +140,11 @@ module Online : sig
       memoised per-bin state vs recompute, item-tracking consistency.
       @raise Audit.Audit_violation on the first divergence. *)
 
-  val bin_handle : t -> int -> Bin.t option
-  (** The underlying mutable bin record.  Exposed for the auditor's
-      negative tests (corrupt a field, assert {!audit} catches it);
-      mutating it from anywhere else breaks the engine's invariants
-      for real. *)
+  val bin_handle : t -> int -> Exact_engine.Scalar.bin option
+  (** The underlying mutable bin record of the exact engine (leaving
+      the fast track first).  Exposed for the auditor's negative tests
+      (corrupt a field, assert {!audit} catches it); mutating it from
+      anywhere else breaks the engine's invariants for real. *)
 
   (** The checkpointable image of a running engine: exactly the
       non-derivable state.  Levels, the open index, item tracking and
@@ -151,7 +152,7 @@ module Online : sig
       a snapshot file decoded into one) can never rebuild an engine
       with an inconsistent cache. *)
   module Frozen : sig
-    type bin = {
+    type bin = Exact_engine.Scalar.Frozen.bin = {
       b_id : int;
       b_tag : string;
       b_capacity : Rat.t;
@@ -166,7 +167,7 @@ module Online : sig
               so it is not stored separately. *)
     }
 
-    type t = {
+    type t = Exact_engine.Scalar.Frozen.t = {
       s_capacity : Rat.t;
       s_clock : Rat.t option;
       s_violations : int;

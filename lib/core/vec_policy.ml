@@ -10,7 +10,7 @@ type view = {
   vbin_count : int;
 }
 
-type decision = Existing of int | New_bin of string
+type decision = Policy.decision = Existing of int | New_bin of string
 
 type handlers = {
   on_arrival :
@@ -152,12 +152,9 @@ let lift_scalar (p : Policy.t) =
         {
           on_arrival =
             (fun ~now ~bins ~size ~item_id ->
-              let bins = List.map scalar_view_of bins in
-              match
-                h.Policy.on_arrival ~now ~bins ~size:(Vec.get size 0) ~item_id
-              with
-              | Policy.Existing id -> Existing id
-              | Policy.New_bin tag -> New_bin tag);
+              h.Policy.on_arrival ~now
+                ~bins:(List.map scalar_view_of bins)
+                ~size:(Vec.get size 0) ~item_id);
           on_departure =
             (if h.Policy.on_departure == Policy.no_departure_handler then
                no_departure_handler

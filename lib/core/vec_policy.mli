@@ -26,7 +26,8 @@ type view = {
   vbin_count : int;
 }
 
-type decision = Existing of int | New_bin of string
+type decision = Policy.decision = Existing of int | New_bin of string
+(** The scalar decision type, re-exported: one engine commits both. *)
 
 type handlers = {
   on_arrival :

@@ -1,17 +1,8 @@
 open Dbp_num
 
-(* The DVBP engine (see vec_simulator.mli).  Exact Vec.t levels are
-   the authoritative state; a Vec.Scaled integer mirror accelerates
-   the commit-phase fit checks whenever the workload lies on a
-   per-dimension grid.  The mirror is dropped wholesale on the first
-   off-grid input — the exact state never depends on it, so the drop
-   is invisible to results. *)
-
-let invalid_step fmt =
-  Printf.ksprintf (fun m -> raise (Simulator.Invalid_step m)) fmt
-
-let invalid_decision fmt =
-  Printf.ksprintf (fun m -> raise (Simulator.Invalid_decision m)) fmt
+(* The DVBP engine (see vec_simulator.mli): a thin instance of the
+   exact engine over [Vec.t], plus the vector packing result and its
+   independent validator. *)
 
 type bin_record = {
   vr_id : int;
@@ -103,764 +94,74 @@ let validate (r : result) =
   with Bad m -> err "%s" m
 
 module Online = struct
-  type vbin = {
-    vb_id : int;
-    vb_tag : string;
-    vb_capacity : Vec.t;
-    vb_opened : Rat.t;
-    mutable vb_closed : Rat.t option;
-    mutable vb_level : Vec.t;
-    mutable vb_level_s : Vec.Scaled.sv;
-        (* Meaningful only while the engine's mirror is live. *)
-    mutable vb_max_level : Vec.t;
-    vb_active : (int, Rat.t * Vec.t) Hashtbl.t;
-        (* item id -> (placement time, size) *)
-    mutable vb_count : int;
-    mutable vb_items_rev : int list;
-    mutable vb_placements_rev : (Rat.t * int) list;
-    mutable vb_view : Vec_policy.view option;
-  }
+  module Core = Exact_engine.Vector
 
-  type t = {
-    dims : int;
-    capacity : Vec.t;
-    handlers : Vec_policy.handlers;
-    mutable store : vbin array;
-    mutable bin_count : int;
-    (* Open set as a doubly-linked list threaded through flat arrays
-       indexed by bin id (opening order = id order). *)
-    mutable oi_prev : int array;
-    mutable oi_next : int array;
-    mutable oi_head : int;
-    mutable oi_tail : int;
-    mutable oi_count : int;
-    item_bin : (int, int) Hashtbl.t;
-    seen_items : (int, unit) Hashtbl.t;
-    mutable clock : Rat.t option;
-    mutable violations : int;
-    mutable grid : Vec.Scaled.grid option;
-    mutable cap_s : Vec.Scaled.sv;
-    audit_on : bool;
-    sink : Dbp_obs.Sink.t option;
-    metrics : Dbp_obs.Metrics.t option;
-  }
+  type t = Core.t
 
-  (* ---- open index ---------------------------------------------------- *)
+  let create ?audit ?sink ?metrics ~(policy : Vec_policy.t) ~capacity () =
+    Core.create ?audit ?sink ?metrics ~handlers:(policy.Vec_policy.spawn ~capacity)
+      ~capacity ()
 
-  let oi_grow t needed =
-    let cap = Array.length t.oi_prev in
-    if needed >= cap then begin
-      let ncap = max (needed + 1) (2 * max cap 8) in
-      let grow a = Array.append a (Array.make (ncap - cap) (-1)) in
-      t.oi_prev <- grow t.oi_prev;
-      t.oi_next <- grow t.oi_next
-    end
-
-  let oi_append t id =
-    oi_grow t id;
-    t.oi_prev.(id) <- t.oi_tail;
-    t.oi_next.(id) <- -1;
-    (if t.oi_tail >= 0 then t.oi_next.(t.oi_tail) <- id else t.oi_head <- id);
-    t.oi_tail <- id;
-    t.oi_count <- t.oi_count + 1
-
-  let oi_remove t id =
-    let p = t.oi_prev.(id) and n = t.oi_next.(id) in
-    (if p >= 0 then t.oi_next.(p) <- n else t.oi_head <- n);
-    (if n >= 0 then t.oi_prev.(n) <- p else t.oi_tail <- p);
-    t.oi_prev.(id) <- -1;
-    t.oi_next.(id) <- -1;
-    t.oi_count <- t.oi_count - 1
-
-  let oi_fold_right f t acc =
-    let rec go id acc = if id < 0 then acc else go t.oi_prev.(id) (f id acc) in
-    go t.oi_tail acc
-
-  (* ---- views --------------------------------------------------------- *)
-
-  let view_of (b : vbin) =
-    match b.vb_view with
-    | Some v -> v
-    | None ->
-        let v =
-          {
-            Vec_policy.vbin_id = b.vb_id;
-            vbin_tag = b.vb_tag;
-            vbin_capacity = b.vb_capacity;
-            vbin_level = b.vb_level;
-            vbin_residual = Vec.sub b.vb_capacity b.vb_level;
-            vbin_opened = b.vb_opened;
-            vbin_count = b.vb_count;
-          }
-        in
-        b.vb_view <- Some v;
-        v
-
-  let open_bins t = oi_fold_right (fun id acc -> view_of t.store.(id) :: acc) t []
-
-  (* ---- audit --------------------------------------------------------- *)
-
-  let audit_state t =
-    (* Open-index structure. *)
-    let walked = ref 0 in
-    let id = ref t.oi_head in
-    let last = ref (-1) in
-    while !id >= 0 do
-      if t.oi_prev.(!id) <> !last then
-        Audit.fail ~bin_id:!id ~check:"open-index" "broken prev link at %d" !id;
-      if !last >= 0 && !id <= !last then
-        Audit.fail ~bin_id:!id ~check:"open-index"
-          "opening order violated (%d after %d)" !id !last;
-      incr walked;
-      if !walked > t.bin_count then
-        Audit.fail ~check:"open-index" "cycle in the open list";
-      last := !id;
-      id := t.oi_next.(!id)
-    done;
-    if !last <> t.oi_tail then
-      Audit.fail ~check:"open-index" "tail does not terminate the walk";
-    if !walked <> t.oi_count then
-      Audit.fail ~check:"open-index" "count %d but walked %d" t.oi_count !walked;
-    (* Per-bin memoised state vs recompute. *)
-    for id = 0 to t.bin_count - 1 do
-      let b = t.store.(id) in
-      let level =
-        Hashtbl.fold
-          (fun _ (_, size) acc -> Vec.add acc size)
-          b.vb_active
-          (Vec.zero ~dims:t.dims)
-      in
-      if not (Vec.equal level b.vb_level) then
-        Audit.fail ~bin_id:id ~check:"bin" "memoised level %a <> recompute %a"
-          Vec.pp b.vb_level Vec.pp level;
-      if Hashtbl.length b.vb_active <> b.vb_count then
-        Audit.fail ~bin_id:id ~check:"bin" "memoised count %d <> recompute %d"
-          b.vb_count (Hashtbl.length b.vb_active);
-      if not (Vec.le b.vb_level b.vb_capacity) then
-        Audit.fail ~bin_id:id ~check:"bin" "over capacity";
-      if not (Vec.le b.vb_level b.vb_max_level) then
-        Audit.fail ~bin_id:id ~check:"bin" "level above recorded peak";
-      (match b.vb_closed with
-      | None ->
-          if b.vb_count = 0 then
-            Audit.fail ~bin_id:id ~check:"bin" "open bin is empty";
-          if not (t.oi_prev.(id) >= 0 || t.oi_head = id) then
-            Audit.fail ~bin_id:id ~check:"open-index" "open bin not indexed"
-      | Some _ ->
-          if b.vb_count <> 0 then
-            Audit.fail ~bin_id:id ~check:"bin" "closed bin still holds items");
-      (match b.vb_view with
-      | None -> ()
-      | Some v ->
-          if
-            not
-              (Vec.equal v.Vec_policy.vbin_level b.vb_level
-              && Vec.equal v.Vec_policy.vbin_residual
-                   (Vec.sub b.vb_capacity b.vb_level)
-              && v.Vec_policy.vbin_count = b.vb_count)
-          then Audit.fail ~bin_id:id ~check:"bin" "stale memoised view");
-      (* Mirror agreement: the scaled ints must decode to the exact
-         vectors bit for bit. *)
-      match t.grid with
-      | None -> ()
-      | Some g ->
-          if b.vb_closed = None then begin
-            if not (Vec.equal (Vec.Scaled.to_vec g b.vb_level_s) b.vb_level)
-            then
-              Audit.fail ~bin_id:id ~check:"bin"
-                "scaled mirror disagrees with the exact level"
-          end
-    done;
-    (* Item tracking. *)
-    Hashtbl.iter
-      (fun item_id bin_id ->
-        if bin_id < 0 || bin_id >= t.bin_count then
-          Audit.fail ~check:"item-bin" "item %d tracked in unknown bin %d"
-            item_id bin_id;
-        let b = t.store.(bin_id) in
-        if not (Hashtbl.mem b.vb_active item_id) then
-          Audit.fail ~bin_id ~check:"item-bin"
-            "item %d tracked in bin %d but not active there" item_id bin_id)
-      t.item_bin
-
-  let audit t = audit_state t
-
-  let after_event t = if t.audit_on then audit_state t
-
-  (* ---- construction -------------------------------------------------- *)
-
-  let create ?(audit = false) ?sink ?metrics ?grid ~(policy : Vec_policy.t)
-      ~capacity () =
-    let dims = Vec.dim capacity in
-    for j = 0 to dims - 1 do
-      if Rat.sign (Vec.get capacity j) <= 0 then
-        invalid_arg "Vec_simulator.create: capacity component not positive"
-    done;
-    let grid =
-      match grid with
-      | Some g -> if Vec.Scaled.dims g = dims then Some g else None
-      | None -> Vec.Scaled.including (Vec.Scaled.base ~dims) capacity
-    in
-    let grid, cap_s =
-      match grid with
-      | None -> (None, [||])
-      | Some g -> (
-          match Vec.Scaled.of_vec g capacity with
-          | Some cs -> (Some g, cs)
-          | None -> (None, [||]))
-    in
-    {
-      dims;
-      capacity;
-      handlers = policy.Vec_policy.spawn ~capacity;
-      store = [||];
-      bin_count = 0;
-      oi_prev = [||];
-      oi_next = [||];
-      oi_head = -1;
-      oi_tail = -1;
-      oi_count = 0;
-      item_bin = Hashtbl.create 64;
-      seen_items = Hashtbl.create 64;
-      clock = None;
-      violations = 0;
-      grid;
-      cap_s;
-      audit_on = audit;
-      sink;
-      metrics;
-    }
-
-  let now t = t.clock
-
-  let advance_clock t now =
-    (match t.clock with
-    | Some c when Rat.(now < c) ->
-        invalid_step "time went backwards (%s before %s)" (Rat.to_string now)
-          (Rat.to_string c)
-    | _ -> ());
-    t.clock <- Some now
-
-  let drop_mirror t = t.grid <- None
-
-  let track_name t = match t.grid with Some _ -> "mirrored" | None -> "exact"
-
-  (* ---- observability ------------------------------------------------- *)
-
-  module Obs = struct
-    module E = Dbp_obs.Trace_event
-
-    let emit t ~now kind_of =
-      match t.sink with
-      | None -> ()
-      | Some s -> Dbp_obs.Sink.emit s ~time:now (kind_of ())
-
-    let with_metrics t f =
-      match t.metrics with None -> () | Some m -> f m
-
-    let fleet_metrics t m =
-      Dbp_obs.Metrics.set_gauge m "open_bins" t.oi_count;
-      Dbp_obs.Metrics.observe_int m "open_bins" t.oi_count
-
-    let close_metrics m ~cost =
-      Dbp_obs.Metrics.incr m "bins_closed";
-      Dbp_obs.Metrics.add_rat m "bin_seconds" cost;
-      Dbp_obs.Metrics.observe_rat m "bin_lifetime" cost
-  end
-
-  (* ---- arrivals ------------------------------------------------------ *)
-
-  let grow_store t =
-    let cap = Array.length t.store in
-    if t.bin_count >= cap then begin
-      let dummy = t.store.(0) in
-      t.store <- Array.append t.store (Array.make (max 8 cap) dummy)
-    end
-
-  let open_new_bin t ~tag ~now =
-    let id = t.bin_count in
-    let b =
-      {
-        vb_id = id;
-        vb_tag = tag;
-        vb_capacity = t.capacity;
-        vb_opened = now;
-        vb_closed = None;
-        vb_level = Vec.zero ~dims:t.dims;
-        vb_level_s =
-          (match t.grid with
-          | None -> [||]
-          | Some _ -> Array.make t.dims 0);
-        vb_max_level = Vec.zero ~dims:t.dims;
-        vb_active = Hashtbl.create 8;
-        vb_count = 0;
-        vb_items_rev = [];
-        vb_placements_rev = [];
-        vb_view = None;
-      }
-    in
-    if t.bin_count = 0 then t.store <- Array.make 8 b else grow_store t;
-    t.store.(id) <- b;
-    t.bin_count <- id + 1;
-    oi_append t id;
-    b
-
-  let arrive t ~now ~size ~item_id =
-    advance_clock t now;
-    if Vec.dim size <> t.dims then
-      invalid_step "item %d has %d dimensions, the engine has %d" item_id
-        (Vec.dim size) t.dims;
-    if not (Vec.is_nonneg size && Vec.has_positive size) then
-      invalid_step "item %d has size <= 0" item_id;
-    if Hashtbl.mem t.seen_items item_id then
-      invalid_step "item id %d reused" item_id;
-    Hashtbl.add t.seen_items item_id ();
-    let views = open_bins t in
-    let decision =
-      t.handlers.Vec_policy.on_arrival ~now ~bins:views ~size ~item_id
-    in
-    (* One scaled conversion per event; a refusal drops the mirror for
-       the rest of the run (exact state is authoritative throughout). *)
-    let size_s =
-      match t.grid with
-      | None -> None
-      | Some g -> (
-          match Vec.Scaled.of_vec g size with
-          | Some s -> Some s
-          | None ->
-              drop_mirror t;
-              None)
-    in
-    let opened_new =
-      match decision with
-      | Vec_policy.New_bin _ -> true
-      | Vec_policy.Existing _ -> false
-    in
-    let target =
-      match decision with
-      | Vec_policy.Existing id ->
-          if id < 0 || id >= t.bin_count then
-            invalid_decision "policy chose unknown bin %d" id;
-          let b = t.store.(id) in
-          if b.vb_closed <> None then
-            invalid_decision "policy chose closed bin %d" id;
-          let fits =
-            match (size_s, t.grid) with
-            | Some s, Some _ ->
-                (* Admitted values are bounded by Fixed.bound, so the
-                   per-component sub cannot wrap. *)
-                Vec.Scaled.le s (Vec.Scaled.sub t.cap_s b.vb_level_s)
-            | _ -> Vec.le size (Vec.sub b.vb_capacity b.vb_level)
-          in
-          if not fits then
-            invalid_decision "item %d does not fit in bin %d" item_id id;
-          b
-      | Vec_policy.New_bin tag ->
-          if
-            List.exists
-              (fun (v : Vec_policy.view) -> Vec_policy.fits v ~size)
-              views
-          then t.violations <- t.violations + 1;
-          if not (Vec.le size t.capacity) then
-            invalid_decision
-              "item %d (size %s) exceeds the capacity %s of a new '%s' bin"
-              item_id (Vec.to_string size)
-              (Vec.to_string t.capacity)
-              tag;
-          open_new_bin t ~tag ~now
-    in
-    target.vb_level <- Vec.add target.vb_level size;
-    (match (size_s, t.grid) with
-    | Some s, Some _ -> target.vb_level_s <- Vec.Scaled.add target.vb_level_s s
-    | _ -> ());
-    target.vb_max_level <- Vec.cmax target.vb_max_level target.vb_level;
-    target.vb_count <- target.vb_count + 1;
-    target.vb_items_rev <- item_id :: target.vb_items_rev;
-    target.vb_placements_rev <- (now, item_id) :: target.vb_placements_rev;
-    Hashtbl.replace target.vb_active item_id (now, size);
-    target.vb_view <- None;
-    Hashtbl.replace t.item_bin item_id target.vb_id;
-    (* Trace: scalar kinds at d=1 (bit-identical to the scalar
-       engine), vector kinds otherwise. *)
-    (if t.dims = 1 then begin
-       Obs.emit t ~now (fun () ->
-           Obs.E.Arrive { item = item_id; size = Vec.get size 0 });
-       if opened_new then
-         Obs.emit t ~now (fun () ->
-             Obs.E.Bin_open
-               {
-                 bin = target.vb_id;
-                 tag = target.vb_tag;
-                 capacity = Vec.get target.vb_capacity 0;
-               });
-       Obs.emit t ~now (fun () ->
-           Obs.E.Pack
-             {
-               item = item_id;
-               bin = target.vb_id;
-               level = Vec.get target.vb_level 0;
-               residual = Vec.get (Vec.sub target.vb_capacity target.vb_level) 0;
-             })
-     end
-     else begin
-       Obs.emit t ~now (fun () -> Obs.E.Varrive { item = item_id; sizes = size });
-       if opened_new then
-         Obs.emit t ~now (fun () ->
-             Obs.E.Vbin_open
-               {
-                 bin = target.vb_id;
-                 tag = target.vb_tag;
-                 capacities = target.vb_capacity;
-               });
-       Obs.emit t ~now (fun () ->
-           Obs.E.Vpack
-             {
-               item = item_id;
-               bin = target.vb_id;
-               levels = target.vb_level;
-               residuals = Vec.sub target.vb_capacity target.vb_level;
-             })
-     end);
-    Obs.with_metrics t (fun m ->
-        Dbp_obs.Metrics.incr m "arrivals";
-        if opened_new then Dbp_obs.Metrics.incr m "bins_opened";
-        Dbp_obs.Metrics.observe_rat m "utilisation_at_pack"
-          (Vec.max_norm ~capacity:target.vb_capacity target.vb_level);
-        Obs.fleet_metrics t m);
-    after_event t;
-    target.vb_id
-
-  (* ---- departures ---------------------------------------------------- *)
-
-  let depart t ~now ~item_id =
-    advance_clock t now;
-    match Hashtbl.find_opt t.item_bin item_id with
-    | None -> invalid_step "departure of unknown/inactive item %d" item_id
-    | Some bin_id ->
-        let b = t.store.(bin_id) in
-        let placed_at, size =
-          match Hashtbl.find_opt b.vb_active item_id with
-          | Some ps -> ps
-          | None ->
-              invalid_step "item %d not active in its bin %d" item_id bin_id
-        in
-        Hashtbl.remove b.vb_active item_id;
-        b.vb_count <- b.vb_count - 1;
-        let bin_closed = b.vb_count = 0 in
-        (if bin_closed then begin
-           b.vb_level <- Vec.zero ~dims:t.dims;
-           (match t.grid with
-           | Some _ -> b.vb_level_s <- Array.make t.dims 0
-           | None -> ());
-           b.vb_closed <- Some now;
-           oi_remove t bin_id
-         end
-         else begin
-           b.vb_level <- Vec.sub b.vb_level size;
-           match t.grid with
-           | Some g -> (
-               match Vec.Scaled.of_vec g size with
-               | Some s -> b.vb_level_s <- Vec.Scaled.sub b.vb_level_s s
-               | None -> drop_mirror t)
-           | None -> ()
-         end);
-        b.vb_view <- None;
-        Hashtbl.remove t.item_bin item_id;
-        (if t.handlers.Vec_policy.on_departure
-            != Vec_policy.no_departure_handler
-         then
-           let views = open_bins t in
-           t.handlers.Vec_policy.on_departure ~now ~bins:views ~item_id);
-        Obs.emit t ~now (fun () ->
-            Obs.E.Depart
-              { item = item_id; bin = bin_id; held = Rat.sub now placed_at });
-        if bin_closed then
-          Obs.emit t ~now (fun () ->
-              Obs.E.Bin_close
-                {
-                  bin = bin_id;
-                  opened = b.vb_opened;
-                  cost = Rat.sub now b.vb_opened;
-                });
-        Obs.with_metrics t (fun m ->
-            Dbp_obs.Metrics.incr m "departures";
-            Dbp_obs.Metrics.observe_rat m "item_held" (Rat.sub now placed_at);
-            if bin_closed then
-              Obs.close_metrics m ~cost:(Rat.sub now b.vb_opened);
-            Obs.fleet_metrics t m);
-        after_event t
-
-  (* ---- inspection ---------------------------------------------------- *)
-
-  let bin_of_item t item_id = Hashtbl.find_opt t.item_bin item_id
-
-  let level_of t bin_id =
-    if bin_id < 0 || bin_id >= t.bin_count then None
-    else
-      let b = t.store.(bin_id) in
-      if b.vb_closed = None then Some b.vb_level else None
-
-  (* ---- finish -------------------------------------------------------- *)
+  let arrive = Core.arrive
+  let depart = Core.depart
+  let now = Core.now
+  let open_bins = Core.open_bins
+  let bin_of_item = Core.bin_of_item
+  let level_of = Core.level_of
+  let audit = Core.audit
 
   let finish t ~instance =
-    if Hashtbl.length t.item_bin <> 0 then
-      invalid_step "finish with %d items still active"
-        (Hashtbl.length t.item_bin);
-    let n = Vec_instance.size instance in
-    if Hashtbl.length t.seen_items <> n then
-      invalid_step "instance has %d items but %d were stepped" n
-        (Hashtbl.length t.seen_items);
     let records =
-      Array.init t.bin_count (fun id ->
-          let b = t.store.(id) in
-          let closed =
-            match b.vb_closed with
-            | Some c -> c
-            | None -> invalid_step "bin %d never closed" id
-          in
+      Core.finish t ~items:(Vec_instance.size instance)
+        ~record:(fun (b : Core.bin) ~closed ->
           {
-            vr_id = id;
-            vr_tag = b.vb_tag;
-            vr_capacity = b.vb_capacity;
-            vr_opened = b.vb_opened;
+            vr_id = b.id;
+            vr_tag = b.tag;
+            vr_capacity = b.capacity;
+            vr_opened = b.opened;
             vr_closed = closed;
-            vr_item_ids = List.rev b.vb_items_rev;
-            vr_placements = List.rev b.vb_placements_rev;
-            vr_max_level = b.vb_max_level;
+            vr_item_ids = Core.item_ids b;
+            vr_placements = Core.placements b;
+            vr_max_level = b.max_level;
           })
     in
-    let timeline =
-      Array.to_list records
-      |> List.concat_map (fun b -> [ (b.vr_opened, 1); (b.vr_closed, -1) ])
-      |> Step_fn.of_deltas
+    let timeline, total_cost =
+      Exact_engine.timeline_and_cost
+        ~opened:(fun b -> b.vr_opened)
+        ~closed:(fun b -> b.vr_closed)
+        records
     in
-    let total_cost =
-      Array.fold_left
-        (fun acc b -> Rat.add acc (Rat.sub b.vr_closed b.vr_opened))
-        Rat.zero records
-    in
-    let assignment = Array.make n (-1) in
-    Array.iter
-      (fun b ->
-        List.iter
-          (fun item_id ->
-            if item_id < 0 || item_id >= n then
-              invalid_step "item id %d outside instance" item_id;
-            assignment.(item_id) <- b.vr_id)
-          b.vr_item_ids)
-      records;
-    Array.iteri
-      (fun i bin_id -> if bin_id < 0 then invalid_step "item %d never packed" i)
-      assignment;
     let result =
       {
         r_instance = instance;
         r_policy_name = "";
         r_bins = records;
-        r_assignment = assignment;
+        r_assignment =
+          Exact_engine.assignment ~items:(Vec_instance.size instance)
+            ~bin_id:(fun b -> b.vr_id)
+            ~item_ids:(fun b -> b.vr_item_ids)
+            records;
         r_timeline = timeline;
         r_total_cost = total_cost;
         r_max_bins = Step_fn.max_value timeline;
-        r_any_fit_violations = t.violations;
+        r_any_fit_violations = Core.violations t;
       }
     in
-    (if t.audit_on then
+    (if Core.auditing t then
        match validate result with
        | Ok () -> ()
        | Error m -> Audit.fail ~check:"packing" "%s" m);
     result
 
-  (* ---- checkpoint/restore -------------------------------------------- *)
+  module Frozen = Core.Frozen
 
-  module Frozen = struct
-    type bin = {
-      b_id : int;
-      b_tag : string;
-      b_capacity : Vec.t;
-      b_opened : Rat.t;
-      b_closed : Rat.t option;
-      b_max_level : Vec.t;
-      b_placements : (Rat.t * int) list;
-      b_active : (int * Vec.t) list;
-    }
+  let freeze = Core.freeze
 
-    type t = {
-      s_capacity : Vec.t;
-      s_clock : Rat.t option;
-      s_violations : int;
-      s_bins : bin list;
-      s_policy_state : string option;
-    }
-  end
-
-  let freeze t : Frozen.t =
-    let policy_state =
-      match t.handlers.Vec_policy.persistence with
-      | Policy.Stateless -> None
-      | Policy.Persistent io -> Some (io.Policy.save ())
-      | Policy.Volatile ->
-          invalid_step
-            "freeze: the policy's internal state is volatile (no save/load \
-             support), this run cannot checkpoint"
-    in
-    let bins =
-      List.init t.bin_count (fun id ->
-          let b = t.store.(id) in
-          (* Packing order (oldest first) restricted to the still-
-             active set, so the image is deterministic regardless of
-             hashtable internals. *)
-          let active =
-            List.fold_left
-              (fun acc item_id ->
-                match Hashtbl.find_opt b.vb_active item_id with
-                | Some (_, size) -> (item_id, size) :: acc
-                | None -> acc)
-              [] b.vb_items_rev
-          in
-          {
-            Frozen.b_id = id;
-            b_tag = b.vb_tag;
-            b_capacity = b.vb_capacity;
-            b_opened = b.vb_opened;
-            b_closed = b.vb_closed;
-            b_max_level = b.vb_max_level;
-            b_placements = List.rev b.vb_placements_rev;
-            b_active = active;
-          })
-    in
-    {
-      Frozen.s_capacity = t.capacity;
-      s_clock = t.clock;
-      s_violations = t.violations;
-      s_bins = bins;
-      s_policy_state = policy_state;
-    }
-
-  let thaw ?(audit = false) ?sink ?metrics ~(policy : Vec_policy.t)
-      (frozen : Frozen.t) =
-    let t =
-      create ~audit ?sink ?metrics ~policy ~capacity:frozen.Frozen.s_capacity
-        ()
-    in
-    (match (t.handlers.Vec_policy.persistence, frozen.Frozen.s_policy_state)
-     with
-    | Policy.Stateless, None -> ()
-    | Policy.Persistent io, Some blob -> io.Policy.load blob
-    | Policy.Persistent _, None ->
-        invalid_step "thaw: snapshot carries no state for stateful policy %s"
-          policy.Vec_policy.name
-    | Policy.Stateless, Some _ ->
-        invalid_step "thaw: snapshot carries state but policy %s is stateless"
-          policy.Vec_policy.name
-    | Policy.Volatile, _ ->
-        invalid_step "thaw: policy %s has volatile (unrestorable) state"
-          policy.Vec_policy.name);
-    List.iteri
-      (fun expected_id (fb : Frozen.bin) ->
-        if fb.Frozen.b_id <> expected_id then
-          invalid_step "thaw: bin ids not dense (found %d, expected %d)"
-            fb.Frozen.b_id expected_id;
-        if Vec.dim fb.Frozen.b_capacity <> t.dims then
-          invalid_step "thaw: bin %d has the wrong dimension" fb.Frozen.b_id;
-        let placed_at = Hashtbl.create 16 in
-        List.iter
-          (fun (time, item_id) -> Hashtbl.replace placed_at item_id time)
-          fb.Frozen.b_placements;
-        (if fb.Frozen.b_closed = None && fb.Frozen.b_active = [] then
-           invalid_step "thaw: open bin %d has no active items" fb.Frozen.b_id);
-        (if fb.Frozen.b_closed <> None && fb.Frozen.b_active <> [] then
-           invalid_step "thaw: closed bin %d still has active items"
-             fb.Frozen.b_id);
-        let b =
-          {
-            vb_id = fb.Frozen.b_id;
-            vb_tag = fb.Frozen.b_tag;
-            vb_capacity = fb.Frozen.b_capacity;
-            vb_opened = fb.Frozen.b_opened;
-            vb_closed = fb.Frozen.b_closed;
-            vb_level = Vec.zero ~dims:t.dims;
-            vb_level_s =
-              (match t.grid with
-              | None -> [||]
-              | Some _ -> Array.make t.dims 0);
-            vb_max_level = fb.Frozen.b_max_level;
-            vb_active = Hashtbl.create 8;
-            vb_count = 0;
-            vb_items_rev =
-              List.rev_map (fun (_, item_id) -> item_id) fb.Frozen.b_placements;
-            vb_placements_rev = List.rev fb.Frozen.b_placements;
-            vb_view = None;
-          }
-        in
-        List.iter
-          (fun (item_id, size) ->
-            if not (Vec.is_nonneg size && Vec.has_positive size) then
-              invalid_step "thaw: active item %d has size <= 0" item_id;
-            if Vec.dim size <> t.dims then
-              invalid_step "thaw: active item %d has the wrong dimension"
-                item_id;
-            let arrival =
-              match Hashtbl.find_opt placed_at item_id with
-              | Some a -> a
-              | None ->
-                  invalid_step
-                    "thaw: active item %d has no placement in bin %d" item_id
-                    fb.Frozen.b_id
-            in
-            Hashtbl.replace b.vb_active item_id (arrival, size);
-            b.vb_count <- b.vb_count + 1;
-            b.vb_level <- Vec.add b.vb_level size;
-            (match t.grid with
-            | Some g -> (
-                match Vec.Scaled.of_vec g size with
-                | Some s -> b.vb_level_s <- Vec.Scaled.add b.vb_level_s s
-                | None -> drop_mirror t)
-            | None -> ());
-            if Hashtbl.mem t.item_bin item_id then
-              invalid_step "thaw: item %d active in two bins" item_id;
-            Hashtbl.replace t.item_bin item_id b.vb_id)
-          fb.Frozen.b_active;
-        if not (Vec.le b.vb_level b.vb_capacity) then
-          invalid_step "thaw: bin %d over capacity" fb.Frozen.b_id;
-        if t.bin_count = 0 then t.store <- Array.make 8 b else grow_store t;
-        t.store.(fb.Frozen.b_id) <- b;
-        t.bin_count <- fb.Frozen.b_id + 1;
-        if b.vb_closed = None then oi_append t b.vb_id;
-        List.iter
-          (fun (_, item_id) ->
-            if Hashtbl.mem t.seen_items item_id then
-              invalid_step "thaw: item id %d placed in two bins" item_id;
-            Hashtbl.add t.seen_items item_id ())
-          fb.Frozen.b_placements)
-      frozen.Frozen.s_bins;
-    t.clock <- frozen.Frozen.s_clock;
-    t.violations <- frozen.Frozen.s_violations;
-    audit_state t;
-    t
+  let thaw ?audit ?sink ?metrics ~(policy : Vec_policy.t) (frozen : Frozen.t) =
+    Core.thaw ?audit ?sink ?metrics ~name:policy.Vec_policy.name
+      ~handlers:(policy.Vec_policy.spawn ~capacity:frozen.s_capacity)
+      frozen
 end
-
-let grid_of_instance instance =
-  let dims = Vec_instance.dims instance in
-  let add acc v =
-    match acc with None -> None | Some g -> Vec.Scaled.including g v
-  in
-  let grid =
-    Array.fold_left
-      (fun acc (r : Vec_instance.item) -> add acc r.Vec_instance.size)
-      (add (Some (Vec.Scaled.base ~dims)) (Vec_instance.capacity instance))
-      (Vec_instance.items instance)
-  in
-  match grid with
-  | None -> None
-  | Some g ->
-      let admits v = Vec.Scaled.of_vec g v <> None in
-      if
-        admits (Vec_instance.capacity instance)
-        && Array.for_all
-             (fun (r : Vec_instance.item) -> admits r.Vec_instance.size)
-             (Vec_instance.items instance)
-      then Some g
-      else None
 
 let apply_event online (e : Vec_instance.event) =
   match e.Vec_instance.ev_kind with
@@ -873,7 +174,7 @@ let apply_event online (e : Vec_instance.event) =
       Online.depart online ~now:e.Vec_instance.ev_time
         ~item_id:e.Vec_instance.ev_item.Vec_instance.id
 
-let run ?audit ?sink ?metrics ?grid ?checkpoint_every ?on_checkpoint
+let run ?audit ?sink ?metrics ?checkpoint_every ?on_checkpoint
     ~(policy : Vec_policy.t) instance =
   let audit =
     match audit with Some b -> b | None -> Audit.enabled_from_env ()
@@ -881,11 +182,8 @@ let run ?audit ?sink ?metrics ?grid ?checkpoint_every ?on_checkpoint
   (match checkpoint_every with
   | Some k when k <= 0 -> invalid_arg "Vec_simulator.run: checkpoint_every <= 0"
   | _ -> ());
-  let grid =
-    match grid with Some g -> g | None -> grid_of_instance instance
-  in
   let online =
-    Online.create ~audit ?sink ?metrics ?grid ~policy
+    Online.create ~audit ?sink ?metrics ~policy
       ~capacity:(Vec_instance.capacity instance)
       ()
   in

@@ -1,12 +1,12 @@
 (** The event-driven DVBP simulator: the vector twin of {!Simulator}.
 
     Levels, capacities and item demands are {!Dbp_num.Vec.t}s; fit is
-    component-wise.  The engine keeps the exact rational vectors
-    authoritative and, when the workload lies on a per-dimension grid,
-    maintains a {!Dbp_num.Vec.Scaled} integer mirror used for the hot
-    fit checks — admission is exact-or-refuse, and the mirror is
-    dropped (never approximated) on the first off-grid input, so
-    results are bit-identical either way.
+    component-wise.  The engine is {!Exact_engine.Vector}, the same
+    exact core as the scalar engine's exact track instantiated over
+    vectors, so bin store, open list, auditor, taps and checkpoint
+    image are shared code, and protocol errors raise the scalar
+    {!Simulator.Invalid_step}/{!Simulator.Invalid_decision} with the
+    scalar messages.
 
     At [d = 1] the engine replays the scalar event order, makes the
     scalar policies' decisions (via {!Vec_policy}'s [scalar] twins or
@@ -53,17 +53,14 @@ module Online : sig
     ?audit:bool ->
     ?sink:Dbp_obs.Sink.t ->
     ?metrics:Dbp_obs.Metrics.t ->
-    ?grid:Vec.Scaled.grid ->
     policy:Vec_policy.t ->
     capacity:Vec.t ->
     unit ->
     t
-  (** [grid] (usually {!grid_of_instance}) activates the scaled
-      integer mirror; omitted, the engine derives a grid from the
-      capacity alone and refuses nothing — any later off-grid size
-      simply drops the mirror.  [audit] re-verifies the memoised
-      state after every event ({!Audit.Audit_violation} on
-      divergence), including exact-vs-mirror agreement. *)
+  (** [audit] re-verifies the memoised state after every event
+      ({!Audit.Audit_violation} on divergence).
+      @raise Invalid_argument if a capacity component is not
+      positive. *)
 
   val arrive : t -> now:Rat.t -> size:Vec.t -> item_id:int -> int
   (** @raise Simulator.Invalid_step on a protocol violation (reused
@@ -76,9 +73,6 @@ module Online : sig
   val open_bins : t -> Vec_policy.view list
   val bin_of_item : t -> int -> int option
   val level_of : t -> int -> Vec.t option
-  val track_name : t -> string
-  (** ["mirrored"] while the scaled mirror is live, ["exact"] after a
-      drop.  Results never depend on it. *)
 
   val finish : t -> instance:Vec_instance.t -> result
 
@@ -88,7 +82,7 @@ module Online : sig
   (** The checkpointable image: exactly the non-derivable state, like
       the scalar {!Simulator.Online.Frozen}. *)
   module Frozen : sig
-    type bin = {
+    type bin = Exact_engine.Vector.Frozen.bin = {
       b_id : int;
       b_tag : string;
       b_capacity : Vec.t;
@@ -99,7 +93,7 @@ module Online : sig
       b_active : (int * Vec.t) list;  (** Oldest placement first. *)
     }
 
-    type t = {
+    type t = Exact_engine.Vector.Frozen.t = {
       s_capacity : Vec.t;
       s_clock : Rat.t option;
       s_violations : int;
@@ -123,25 +117,18 @@ module Online : sig
       @raise Simulator.Invalid_step on an inconsistent image. *)
 end
 
-val grid_of_instance : Vec_instance.t -> Vec.Scaled.grid option
-(** Per-dimension grids admitting the capacity and every item demand;
-    [None] when some dimension's lcm chase exceeds the affordable
-    denominator — the run then stays purely exact. *)
-
 val apply_event : Online.t -> Vec_instance.event -> unit
 
 val run :
   ?audit:bool ->
   ?sink:Dbp_obs.Sink.t ->
   ?metrics:Dbp_obs.Metrics.t ->
-  ?grid:Vec.Scaled.grid option ->
   ?checkpoint_every:int ->
   ?on_checkpoint:(events_done:int -> Online.t -> unit) ->
   policy:Vec_policy.t ->
   Vec_instance.t ->
   result
 (** Replays {!Vec_instance.sorted_events} and assembles the result.
-    [audit] defaults to {!Audit.enabled_from_env}; [grid] overrides
-    the mirror choice ([Some None] forces pure exact arithmetic).
+    [audit] defaults to {!Audit.enabled_from_env}.
     [checkpoint_every]/[on_checkpoint] are the periodic checkpoint
     tap, as in {!Simulator.run}. *)

@@ -38,18 +38,6 @@ let message_hash t =
 
 let fingerprint t = Printf.sprintf "%s|%s|m%s" t.rule t.path (message_hash t)
 
-(* The pre-PR-8 positional format, still accepted when *reading* a
-   baseline so existing files keep working (with a deprecation note);
-   never written. *)
-let legacy_fingerprint t = Printf.sprintf "%s|%s|%d|%d" t.rule t.path t.line t.col
-
-let is_legacy_fingerprint s =
-  match String.split_on_char '|' s with
-  | [ _; _; line; col ] ->
-      let numeric x = x <> "" && String.for_all (fun c -> c >= '0' && c <= '9') x in
-      numeric line && numeric col
-  | _ -> false
-
 let to_human t =
   Printf.sprintf "%s:%d:%d: [%s/%s] %s" t.path t.line t.col t.rule
     (severity_to_string t.severity)

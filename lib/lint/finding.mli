@@ -34,15 +34,6 @@ val fingerprint : t -> string
     appends an occurrence index ([|0], [|1], …) when the same message
     fires more than once in one file. *)
 
-val legacy_fingerprint : t -> string
-(** The pre-PR-8 positional format [rule|path|line|col].  Still
-    matched when reading a baseline (with a deprecation note); never
-    written by {!Lint.save_baseline}. *)
-
-val is_legacy_fingerprint : string -> bool
-(** Recognises an old positional baseline entry (numeric third and
-    fourth fields). *)
-
 val severity_to_string : severity -> string
 val to_human : t -> string
 val to_json : t -> string

@@ -6,7 +6,6 @@ type report = {
   findings : Finding.t list;  (* new findings, not in the baseline *)
   baselined : int;  (* findings suppressed by the baseline *)
   stale_baseline : string list;  (* baseline entries that no longer fire *)
-  legacy_baseline : int;  (* old-format (line/col) entries that matched *)
   files_scanned : int;
 }
 
@@ -89,9 +88,7 @@ let load_baseline path =
 let baseline_header =
   "# dbp lint baseline — accepted findings, one fingerprint per line:\n\
    # rule|path|m<message-hash>|<occurrence>\n\
-   # (position-independent: edits above a finding do not invalidate it;\n\
-   #  the old rule|path|line|col format is still read, with a\n\
-   #  deprecation note)\n\
+   # (position-independent: edits above a finding do not invalidate it)\n\
    # Regenerate with: dbp check --lint --update-baseline\n"
 
 (* ---- fingerprints ---------------------------------------------------- *)
@@ -126,7 +123,6 @@ let save_baseline ~path findings =
 let report_of ~baseline ~files_scanned all =
   let with_fps = fingerprints all in
   let matched = Hashtbl.create 16 in
-  let legacy_matched = ref 0 in
   let findings, baselined =
     List.fold_left
       (fun (fresh, n) (f, fp) ->
@@ -134,16 +130,7 @@ let report_of ~baseline ~files_scanned all =
           Hashtbl.replace matched fp ();
           (fresh, n + 1)
         end
-        else
-          (* Old positional entries still suppress, with a
-             deprecation note in the report. *)
-          let legacy = Finding.legacy_fingerprint f in
-          if List.mem legacy baseline then begin
-            Hashtbl.replace matched legacy ();
-            incr legacy_matched;
-            (fresh, n + 1)
-          end
-          else (f :: fresh, n))
+        else (f :: fresh, n))
       ([], 0) with_fps
   in
   let stale_baseline =
@@ -153,7 +140,6 @@ let report_of ~baseline ~files_scanned all =
     findings = List.rev findings;
     baselined;
     stale_baseline;
-    legacy_baseline = !legacy_matched;
     files_scanned;
   }
 
@@ -190,12 +176,6 @@ let render_human report =
       Buffer.add_string buf
         (Printf.sprintf "stale baseline entry (no longer fires): %s\n" fp))
     report.stale_baseline;
-  if report.legacy_baseline > 0 then
-    Buffer.add_string buf
-      (Printf.sprintf
-         "deprecated: %d baseline entr(y/ies) use the old rule|path|line|col \
-          format; regenerate with --update-baseline\n"
-         report.legacy_baseline);
   Buffer.add_string buf
     (Printf.sprintf
        "lint: %d file(s) scanned, %d finding(s) (%d error(s)), %d baselined\n"

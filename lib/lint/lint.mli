@@ -8,9 +8,6 @@ type report = {
   stale_baseline : string list;
       (** Baseline fingerprints that no longer fire (fixed or moved —
           time to regenerate the baseline). *)
-  legacy_baseline : int;
-      (** Matched entries still in the deprecated positional
-          [rule|path|line|col] format — regenerate the baseline. *)
   files_scanned : int;
 }
 
@@ -40,8 +37,7 @@ val report_of :
   baseline:string list -> files_scanned:int -> Finding.t list -> report
 (** Baseline bookkeeping over an already-collected finding set — shared
     by the syntactic tier, the typed tier ({!Typed_lint}) and combined
-    runs.  Accepts both fingerprint formats; legacy positional matches
-    are counted in [legacy_baseline]. *)
+    runs. *)
 
 val collect : roots:string list -> unit -> Finding.t list * int
 (** Raw findings plus the number of files scanned, without baseline

@@ -446,9 +446,9 @@ let check_t3_spawn ctx spawn_arg =
 (* ---- T4: allocation census of the commit/view core ------------------- *)
 
 (* The fast-track per-event core, by file and name, with each
-   function's (boxed, Rat temporaries) budget.  Deliberately NOT every
-   [commit_*]: [commit_arrival_exact] is the exact track — the boxed
-   fallback the fast path exists to avoid — and reporting helpers like
+   function's (boxed, Rat temporaries) budget.  The exact engine
+   (lib/core/exact_engine.ml) is the boxed fallback the fast path
+   exists to avoid, so it has no budget, and reporting helpers like
    [fast_timeline_and_cost] run once per run, not per event.  The
    placement index's per-event operations allocate nothing at all;
    its amortised doubling ([grow]) and audit check are left out. *)
@@ -459,10 +459,9 @@ let t4_hot_functions =
       List.map
         (fun n -> (n, core))
         [
-          "commit_fast"; "open_fast"; "fast_view"; "refresh_slot";
-          "refresh_fit"; "mark_dirty"; "flush_views"; "open_slot_append";
-          "open_slot_remove"; "fast_views"; "fast_advance_clock_s";
-          "fast_advance_clock";
+          "commit_fast"; "open_fast"; "fast_view"; "cached_view";
+          "refresh_fit"; "open_slot_append"; "open_slot_remove";
+          "fast_views"; "fast_advance_clock_s"; "fast_advance_clock";
         ] );
     ( "lib/core/residual_tree.ml",
       List.map

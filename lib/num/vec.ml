@@ -110,66 +110,3 @@ let of_string s =
 
 let pp fmt v =
   Format.pp_print_string fmt (to_string v)
-
-module Scaled = struct
-  type grid = Fixed.scale array
-  type sv = int array
-
-  let base ~dims =
-    if dims < 1 then invalid_arg "Vec.Scaled.base: dims < 1";
-    Array.make dims Fixed.unit
-
-  let dims = Array.length
-  let den (g : grid) i = Fixed.den g.(i)
-
-  let including (g : grid) (v : t) =
-    if Array.length g <> Array.length v then
-      invalid_arg "Vec.Scaled.including: dimension mismatch";
-    let out = Array.copy g in
-    let rec go i =
-      if i >= Array.length g then Some out
-      else
-        match Fixed.including out.(i) v.(i) with
-        | None -> None
-        | Some s ->
-            out.(i) <- s;
-            go (i + 1)
-    in
-    go 0
-
-  let of_vec (g : grid) (v : t) =
-    if Array.length g <> Array.length v then
-      invalid_arg "Vec.Scaled.of_vec: dimension mismatch";
-    let out = Array.make (Array.length v) 0 in
-    let rec go i =
-      if i >= Array.length v then Some out
-      else
-        match Fixed.of_rat g.(i) v.(i) with
-        | None -> None
-        | Some n ->
-            out.(i) <- n;
-            go (i + 1)
-    in
-    go 0
-
-  let to_vec (g : grid) (sv : sv) =
-    if Array.length g <> Array.length sv then
-      invalid_arg "Vec.Scaled.to_vec: dimension mismatch";
-    Array.init (Array.length sv) (fun i -> Fixed.to_rat g.(i) sv.(i))
-
-  let le (a : sv) (b : sv) =
-    let rec go i =
-      i >= Array.length a || (Int.compare a.(i) b.(i) <= 0 && go (i + 1))
-    in
-    Int.equal (Array.length a) (Array.length b) && go 0
-
-  let add (a : sv) (b : sv) =
-    Array.init (Array.length a) (fun i -> Fixed.add a.(i) b.(i))
-
-  let sub (a : sv) (b : sv) =
-    Array.init (Array.length a) (fun i -> Fixed.sub a.(i) b.(i))
-
-  let equal (a : sv) (b : sv) =
-    let rec go i = i >= Array.length a || (Int.equal a.(i) b.(i) && go (i + 1)) in
-    Int.equal (Array.length a) (Array.length b) && go 0
-end

@@ -70,22 +70,15 @@ let summary_line cfg su =
     (Rat.to_string su.su_cost)
     shard_costs
 
+(* Both error replies carry messages that may quote the client's own
+   decoded strings, so the message goes through the one JSON-string
+   escaper: the reply stays a single well-formed NDJSON line. *)
 let error_line msg =
-  Printf.sprintf {|{"kind":"error","message":"%s"}|}
-    (String.concat ""
-       (List.map
-          (fun c ->
-            match c with
-            | '"' -> "\\\""
-            | '\\' -> "\\\\"
-            | '\n' -> "\\n"
-            | c -> String.make 1 c)
-          (List.init (String.length msg) (String.get msg))))
+  Printf.sprintf {|{"kind":"error","message":"%s"}|} (TE.escape msg)
 
 let stream_error_line (e : TE.stream_error) =
   Printf.sprintf {|{"kind":"error","line":%d,"byte":%d,"message":"%s"}|} e.line
-    e.byte
-    (String.map (fun c -> if c = '"' then '\'' else c) e.message)
+    e.byte (TE.escape e.message)
 
 (* ---- the fleet ------------------------------------------------------- *)
 

@@ -64,6 +64,8 @@ let test_audit_under_faults () =
 
 (* ---- corruption is caught, by invariant family ---------------------- *)
 
+module Core = Exact_engine.Scalar
+
 let engine_with_items () =
   let t = Simulator.Online.create ~policy:First_fit.policy ~capacity:Rat.one () in
   ignore (Simulator.Online.arrive t ~now:Rat.zero ~size:(r 1 2) ~item_id:0);
@@ -88,14 +90,14 @@ let test_healthy_engine_passes () =
 let test_corrupt_level () =
   let t = engine_with_items () in
   let b = bin0 t in
-  b.Bin.level <- Rat.add b.Bin.level (r 1 8);
+  b.Core.level <- Rat.add b.Core.level (r 1 8);
   expect_violation ~family:"bin" (fun () -> Simulator.Online.audit t)
 
 let test_corrupt_view_cache () =
   let t = engine_with_items () in
   let b = bin0 t in
-  let v = Bin.view b in
-  b.Bin.view_cache <- Some { v with Bin.bin_level = Rat.zero };
+  let v = Core.view b in
+  b.Core.view_cache <- Some { v with Bin.bin_level = Rat.zero };
   expect_violation ~family:"bin" (fun () -> Simulator.Online.audit t)
 
 (* Closing a bin behind the index's back surfaces in the open-index
@@ -104,7 +106,7 @@ let test_corrupt_view_cache () =
 let test_corrupt_closed_flag () =
   let t = engine_with_items () in
   let b = bin0 t in
-  b.Bin.closed <- Some Rat.zero;
+  b.Core.closed <- Some Rat.zero;
   expect_violation ~family:"open-index" (fun () -> Simulator.Online.audit t)
 
 let test_corrupt_item_tracking () =
@@ -113,10 +115,10 @@ let test_corrupt_item_tracking () =
   (* Drop item 0 from the bin consistently (level, max_level and view
      cache all patched up) so only the simulator's item->bin tracking
      disagrees: the layered sweep must still catch it. *)
-  Hashtbl.remove b.Bin.active 0;
-  b.Bin.level <- r 1 4;
-  b.Bin.max_level <- r 1 4;
-  b.Bin.view_cache <- None;
+  Hashtbl.remove b.Core.active 0;
+  b.Core.level <- r 1 4;
+  b.Core.max_level <- r 1 4;
+  b.Core.view_cache <- None;
   expect_violation ~family:"item-bin" (fun () -> Simulator.Online.audit t)
 
 let test_corrupt_total_cost () =

@@ -487,6 +487,33 @@ let test_ff_arrival_allocation () =
     true (large <= 16);
   Alcotest.(check int) "independent of the open population" small large
 
+(* The fast track memoises views per bin on the exact core's lazy
+   rule: a view read re-projects exactly the bins whose level changed
+   since the last read, and hands back the physically same record for
+   every other bin. *)
+let test_fast_views_memoised () =
+  let grid =
+    match Fixed.scale_of_den 4 with Some s -> s | None -> assert false
+  in
+  let o =
+    Simulator.Online.create ~grid ~policy:Best_fit.policy ~capacity:Rat.one ()
+  in
+  ignore (Simulator.Online.arrive o ~now:Rat.zero ~size:Rat.one ~item_id:0);
+  ignore (Simulator.Online.arrive o ~now:Rat.zero ~size:(r 1 2) ~item_id:1);
+  let first = Simulator.Online.open_bins o in
+  ignore (Simulator.Online.arrive o ~now:Rat.zero ~size:(r 1 4) ~item_id:2);
+  let second = Simulator.Online.open_bins o in
+  let third = Simulator.Online.open_bins o in
+  Alcotest.(check string) "fast track" "fixed" (Simulator.Online.track_name o);
+  match (first, second, third) with
+  | [ a0; a1 ], [ b0; b1 ], [ c0; c1 ] ->
+      Alcotest.(check bool) "untouched bin's view reused" true (a0 == b0);
+      Alcotest.(check bool) "touched bin's view rebuilt" true (not (a1 == b1));
+      Alcotest.(check int) "rebuilt view sees the arrival" 2 b1.Bin.bin_count;
+      Alcotest.(check bool) "a quiet read rebuilds nothing" true
+        (b0 == c0 && b1 == c1)
+  | _ -> Alcotest.fail "expected two open bins"
+
 (* ---- two-track engine: fixed fast path vs forced exact -------------- *)
 
 (* [run] picks the fixed-point track by itself (grid_of_instance);
@@ -560,31 +587,52 @@ let test_degrade_mid_run () =
   if not (packing_equal pf pe) then
     Alcotest.fail "degraded packing diverges from always-exact"
 
-(* ---- open-bin index invariants -------------------------------------- *)
+(* An arrival the policy cannot place still consumes its id, and the
+   id stays consumed across a degrade: the fast store's image records
+   placements only, so the seen set must be carried over. *)
+let test_rejected_id_survives_degrade () =
+  let grid =
+    match Fixed.scale_of_den 4 with Some s -> s | None -> assert false
+  in
+  let o =
+    Simulator.Online.create ~grid ~policy:First_fit.policy ~capacity:Rat.one ()
+  in
+  ignore (Simulator.Online.arrive o ~now:Rat.zero ~size:(r 1 2) ~item_id:0);
+  (match Simulator.Online.arrive o ~now:Rat.zero ~size:(ri 2) ~item_id:1 with
+  | _ -> Alcotest.fail "an oversized item was placed"
+  | exception Simulator.Invalid_decision _ -> ());
+  Alcotest.(check string) "still fixed" "fixed" (Simulator.Online.track_name o);
+  (* 1/3 is off the 1/4 grid: this departure degrades the engine. *)
+  Simulator.Online.depart o ~now:(r 1 3) ~item_id:0;
+  Alcotest.(check string) "degraded" "exact" (Simulator.Online.track_name o);
+  Alcotest.check_raises "the rejected id stays used"
+    (Simulator.Invalid_step "item id 1 reused") (fun () ->
+      ignore (Simulator.Online.arrive o ~now:Rat.one ~size:(r 1 4) ~item_id:1))
 
-let bin id = Bin.open_bin ~id ~tag:"t" ~capacity:Rat.one ~now:Rat.zero
-let view_ids ix = List.map (fun (v : Bin.view) -> v.Bin.bin_id) (Open_index.views ix)
+(* ---- open-bin list invariants -------------------------------------- *)
+
+module Open_list = Exact_engine.Open_list
+module Core = Exact_engine.Scalar
 
 let test_index_opening_order () =
-  let ix = Open_index.create () in
-  Alcotest.(check bool) "empty" true (Open_index.is_empty ix);
-  let b0 = bin 0 and b1 = bin 1 and b2 = bin 2 and b3 = bin 3 in
-  List.iter (Open_index.add ix) [ b0; b1; b2; b3 ];
-  Alcotest.(check (list int)) "opening order" [ 0; 1; 2; 3 ] (view_ids ix);
-  Open_index.remove ix b1;
-  Alcotest.(check (list int)) "middle removal" [ 0; 2; 3 ] (view_ids ix);
-  Open_index.remove ix b0;
-  Alcotest.(check (list int)) "head removal" [ 2; 3 ] (view_ids ix);
-  Open_index.remove ix b3;
-  Alcotest.(check (list int)) "tail removal" [ 2 ] (view_ids ix);
-  Alcotest.(check int) "cardinal" 1 (Open_index.cardinal ix);
-  Alcotest.(check (option int)) "oldest" (Some 2)
-    (Option.map (fun (b : Bin.t) -> b.Bin.id) (Open_index.oldest ix));
-  Alcotest.(check (option int)) "newest" (Some 2)
-    (Option.map (fun (b : Bin.t) -> b.Bin.id) (Open_index.newest ix));
-  let b9 = bin 9 in
-  Open_index.add ix b9;
-  Alcotest.(check (list int)) "append after gaps" [ 2; 9 ] (view_ids ix)
+  let ix = Open_list.create () in
+  Alcotest.(check int) "empty" 0 (Open_list.cardinal ix);
+  List.iter (Open_list.add ix) [ 0; 1; 2; 3 ];
+  Alcotest.(check (list int)) "opening order" [ 0; 1; 2; 3 ] (Open_list.to_list ix);
+  Open_list.remove ix 1;
+  Alcotest.(check (list int)) "middle removal" [ 0; 2; 3 ] (Open_list.to_list ix);
+  Open_list.remove ix 0;
+  Alcotest.(check (list int)) "head removal" [ 2; 3 ] (Open_list.to_list ix);
+  Open_list.remove ix 3;
+  Alcotest.(check (list int)) "tail removal" [ 2 ] (Open_list.to_list ix);
+  Alcotest.(check int) "cardinal" 1 (Open_list.cardinal ix);
+  Alcotest.(check bool) "member" true (Open_list.mem ix 2);
+  Alcotest.(check bool) "removed" false (Open_list.mem ix 3);
+  Open_list.add ix 9;
+  Alcotest.(check (list int)) "append after gaps" [ 2; 9 ] (Open_list.to_list ix);
+  Alcotest.(check bool)
+    "structure validates" true
+    (Open_list.validate ix ~is_open:(fun _ -> true) = Ok ())
 
 let raises_invalid_arg name f =
   Alcotest.(check bool) name true
@@ -594,56 +642,56 @@ let raises_invalid_arg name f =
      with Invalid_argument _ -> true)
 
 let test_index_misuse () =
-  let ix = Open_index.create () in
-  let b5 = bin 5 in
-  Open_index.add ix b5;
-  raises_invalid_arg "double add" (fun () -> Open_index.add ix b5);
-  raises_invalid_arg "out-of-order id" (fun () -> Open_index.add ix (bin 3));
-  raises_invalid_arg "removing a non-member" (fun () ->
-      Open_index.remove ix (bin 7));
-  Open_index.remove ix b5;
-  raises_invalid_arg "double remove" (fun () -> Open_index.remove ix b5)
+  let ix = Open_list.create () in
+  Open_list.add ix 5;
+  raises_invalid_arg "double add" (fun () -> Open_list.add ix 5);
+  raises_invalid_arg "out-of-order id" (fun () -> Open_list.add ix 3);
+  raises_invalid_arg "removing a non-member" (fun () -> Open_list.remove ix 7);
+  Open_list.remove ix 5;
+  raises_invalid_arg "double remove" (fun () -> Open_list.remove ix 5)
+
+(* The exact core under First Fit, capacity 1. *)
+let core () =
+  Core.create
+    ~handlers:(First_fit.policy.Policy.spawn ~capacity:Rat.one)
+    ~capacity:Rat.one ()
 
 let test_view_cache_invalidation () =
-  let b = bin 0 in
-  let v1 = Bin.view b in
+  let c = core () in
+  ignore (Core.arrive c ~now:Rat.zero ~size:(r 1 4) ~item_id:0);
+  let b = Option.get (Core.find_bin c 0) in
+  let v1 = Core.view b in
   Alcotest.(check bool) "memoised view physically reused" true
-    (v1 == Bin.view b);
-  let stub ~id =
-    Item.make ~id ~size:(r 1 4) ~arrival:Rat.zero ~departure:Rat.one
-  in
-  Bin.insert b ~now:Rat.zero (stub ~id:0);
-  let v2 = Bin.view b in
+    (v1 == Core.view b);
+  ignore (Core.arrive c ~now:Rat.zero ~size:(r 1 4) ~item_id:1);
+  let v2 = Core.view b in
   Alcotest.(check bool) "insert invalidates the cache" true (not (v1 == v2));
-  Alcotest.(check int) "fresh view sees the insert" 1 v2.Bin.bin_count;
-  check_rat "fresh view level" (r 1 4) v2.Bin.bin_level;
-  Alcotest.(check bool) "fresh view memoised again" true (v2 == Bin.view b);
-  Bin.insert b ~now:Rat.zero (stub ~id:1);
-  Bin.remove b ~now:Rat.one (stub ~id:0);
-  let v3 = Bin.view b in
+  Alcotest.(check int) "fresh view sees the insert" 2 v2.Bin.bin_count;
+  check_rat "fresh view level" (r 1 2) v2.Bin.bin_level;
+  Alcotest.(check bool) "fresh view memoised again" true (v2 == Core.view b);
+  Core.depart c ~now:Rat.one ~item_id:0;
+  let v3 = Core.view b in
   Alcotest.(check bool) "remove invalidates the cache" true (not (v2 == v3));
   Alcotest.(check int) "count after remove" 1 v3.Bin.bin_count;
-  Bin.remove b ~now:Rat.two (stub ~id:1);
-  Alcotest.(check bool) "empty bin closed" true (not (Bin.is_open b));
-  Alcotest.(check int) "closed view count" 0 (Bin.view b).Bin.bin_count
+  Core.depart c ~now:Rat.two ~item_id:1;
+  Alcotest.(check bool) "empty bin closed" true (Option.is_some b.Core.closed);
+  Alcotest.(check int) "closed view count" 0 (Core.view b).Bin.bin_count
 
 let test_index_views_reuse_cached () =
-  let ix = Open_index.create () in
-  let b0 = bin 0 and b1 = bin 1 in
-  Open_index.add ix b0;
-  Open_index.add ix b1;
-  let first = Open_index.views ix in
-  Bin.insert b1 ~now:Rat.zero
-    (Item.make ~id:0 ~size:(r 1 2) ~arrival:Rat.zero ~departure:Rat.one);
-  let second = Open_index.views ix in
+  let c = core () in
+  ignore (Core.arrive c ~now:Rat.zero ~size:Rat.one ~item_id:0);
+  ignore (Core.arrive c ~now:Rat.zero ~size:(r 1 2) ~item_id:1);
+  let first = Core.open_bins c in
+  (* Bin 0 is full, so First Fit touches bin 1 only. *)
+  ignore (Core.arrive c ~now:Rat.zero ~size:(r 1 4) ~item_id:2);
+  let second = Core.open_bins c in
   (match (first, second) with
   | [ a0; _ ], [ c0; c1 ] ->
       Alcotest.(check bool) "untouched bin's view physically reused" true
         (a0 == c0);
-      Alcotest.(check int) "touched bin's view rebuilt" 1 c1.Bin.bin_count
+      Alcotest.(check int) "touched bin's view rebuilt" 2 c1.Bin.bin_count
   | _ -> Alcotest.fail "expected two views");
-  Alcotest.(check bool) "list rebuilt each call" true
-    (Open_index.views ix <> [] )
+  Alcotest.(check bool) "list rebuilt each call" true (not (first == second))
 
 (* ---- packed event keys: id-overflow audit --------------------------- *)
 
@@ -712,12 +760,16 @@ let suite =
     prop_residual_tree;
     Alcotest.test_case "First Fit arrival allocation is flat" `Quick
       test_ff_arrival_allocation;
+    Alcotest.test_case "fast-track views memoised per bin" `Quick
+      test_fast_views_memoised;
     Alcotest.test_case "fixed-track storms: engines bit-identical" `Quick
       test_fixed_storm_equivalence;
     Alcotest.test_case "fixed vs forced-exact runs bit-identical" `Quick
       test_fixed_vs_exact_runs;
     Alcotest.test_case "mid-run degrade is invisible" `Quick
       test_degrade_mid_run;
+    Alcotest.test_case "a rejected arrival's id survives a degrade" `Quick
+      test_rejected_id_survives_degrade;
     Alcotest.test_case "open-bin index: opening order" `Quick
       test_index_opening_order;
     Alcotest.test_case "open-bin index: misuse raises" `Quick test_index_misuse;

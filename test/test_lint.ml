@@ -103,7 +103,7 @@ let test_r5 () =
 
 let test_r6 () =
   check_fires "R6" "lib/core/simulator.ml" "let f x xs = List.mem x xs\n";
-  check_fires "R6" "lib/core/open_index.ml" "let f k l = List.assoc k l\n";
+  check_fires "R6" "lib/core/exact_engine.ml" "let f k l = List.assoc k l\n";
   (* fit.ml's O(open-bins) policy scan is by design; analysis is cold *)
   (* the per-draw workload sampler is hot too (O(catalog) List.nth
      regression) *)
@@ -222,7 +222,6 @@ let test_baseline () =
         (List.length suppressed.Lint.findings);
       Alcotest.(check int) "baselined" 1 suppressed.Lint.baselined;
       Alcotest.(check (list string)) "no stale" [] suppressed.Lint.stale_baseline;
-      Alcotest.(check int) "not legacy" 0 suppressed.Lint.legacy_baseline;
       Alcotest.(check int) "exit ok" 0 (Lint.exit_code suppressed);
       Alcotest.(check int)
         "strict exit ok" 0
@@ -237,8 +236,7 @@ let test_baseline () =
     stale.Lint.stale_baseline
 
 (* The fingerprint survives edits above the finding (the point of the
-   position-independent scheme), and the old positional format still
-   suppresses — with the deprecation counter ticking. *)
+   position-independent scheme). *)
 let test_fingerprint_stability () =
   let path = "lib/workload/fixture.ml" in
   let fp_of src =
@@ -263,22 +261,7 @@ let test_fingerprint_stability () =
         (String.sub fp0 (String.length fp0 - 2) 2);
       Alcotest.(check string) "second indexed 1" "|1"
         (String.sub fp1 (String.length fp1 - 2) 2)
-  | fps -> Alcotest.failf "expected two fingerprints, got %d" (List.length fps));
-  (* legacy positional entries still match, flagged as deprecated *)
-  let legacy =
-    Lint.run_sources
-      ~baseline:[ "R2|lib/workload/fixture.ml|1|12" ]
-      [ (path, "let bad r = r = 0.0\n") ]
-  in
-  Alcotest.(check int) "legacy suppresses" 0 (List.length legacy.Lint.findings);
-  Alcotest.(check int) "legacy counted" 1 legacy.Lint.legacy_baseline;
-  Alcotest.(check (list string)) "legacy not stale" [] legacy.Lint.stale_baseline;
-  Alcotest.(check bool)
-    "legacy format recognised" true
-    (Finding.is_legacy_fingerprint "R2|lib/workload/fixture.ml|1|12");
-  Alcotest.(check bool)
-    "new format not legacy" false
-    (Finding.is_legacy_fingerprint "R2|lib/workload/fixture.ml|mdeadbeef|0")
+  | fps -> Alcotest.failf "expected two fingerprints, got %d" (List.length fps))
 
 (* ---- exit codes track severity -------------------------------------- *)
 

@@ -297,6 +297,47 @@ let test_protocol_rejections () =
   | exception Serve.Protocol _ -> ());
   Serve.Fleet.shutdown fleet
 
+(* A hostile event kind (newline, control byte, bare backslash) comes
+   back quoted in the error reply: the reply must still be one NDJSON
+   line the strict reader accepts, and its message must carry the
+   client's kind intact. *)
+let test_error_reply_framing () =
+  let kind = "a\nb\001\\x" in
+  let line = {|{"seq":0,"t":"0","kind":"a\nb\u0001\\x"}|} ^ "\n" in
+  let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
+  ignore (Unix.write_substring in_w line 0 (String.length line));
+  Unix.close in_w;
+  let result =
+    Serve.run_stream (Serve.default_config ()) ~input:in_r ~output:out_w ()
+  in
+  Unix.close in_r;
+  Unix.close out_w;
+  let buf = Buffer.create 256 and chunk = Bytes.create 256 in
+  let rec drain () =
+    match Unix.read out_r chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        drain ()
+  in
+  drain ();
+  Unix.close out_r;
+  (match result with
+  | Ok _ -> Alcotest.fail "a hostile kind was served"
+  | Error _ -> ());
+  match String.split_on_char '\n' (Buffer.contents buf) with
+  | [ reply; "" ] -> (
+      match Dbp_obs.Trace_event.parse_flat_object reply with
+      | Error msg -> Alcotest.failf "reply is not one JSON object: %s" msg
+      | Ok fields -> (
+          match List.assoc_opt "message" fields with
+          | Some (Dbp_obs.Trace_event.Str message) ->
+              Alcotest.(check bool)
+                "the message quotes the client's kind" true
+                (contains ~sub:("\"" ^ kind ^ "\"") message)
+          | _ -> Alcotest.fail "reply has no message"))
+  | lines -> Alcotest.failf "expected one reply line, got %d" (List.length lines - 1)
+
 (* ---- replay end-to-end ----------------------------------------------- *)
 
 let test_replay_socketpair_end_to_end () =
@@ -340,6 +381,8 @@ let suite =
     Alcotest.test_case "last shard cannot fail" `Quick
       test_fail_last_shard_rejected;
     Alcotest.test_case "protocol rejections" `Quick test_protocol_rejections;
+    Alcotest.test_case "error replies stay one NDJSON line" `Quick
+      test_error_reply_framing;
     Alcotest.test_case "replay socketpair end-to-end" `Quick
       test_replay_socketpair_end_to_end;
     prop_one_shard_cost;

@@ -214,7 +214,7 @@ let test_t4 () =
     ("let commit_fast x =\n" ^ spammy_body);
   (* a lean hot function passes *)
   check_silent "T4" "lib/core/simulator.ml"
-    "let refresh_slot x = x + 1\n";
+    "let refresh_fit x = x + 1\n";
   (* rational temporaries count against their own threshold *)
   check_fires "T4" "lib/core/simulator.ml"
     (rat_stub
@@ -233,14 +233,14 @@ let test_t4 () =
      \  x2\n");
   (* allocations on a panic branch do not count against the budget... *)
   check_silent "T4" "lib/core/simulator.ml"
-    "let mark_dirty x =\n\
+    "let cached_view x =\n\
     \  if x < 0 then\n\
     \    invalid_arg (String.concat \",\" [ \"a\"; \"b\"; \"c\"; \"d\"; \
      \"e\" ])\n\
     \  else x\n";
   (* ... but the same list on a live path does *)
   check_fires "T4" "lib/core/simulator.ml"
-    "let mark_dirty x =\n\
+    "let cached_view x =\n\
     \  ignore (String.concat \",\" [ \"a\"; \"b\"; \"c\"; \"d\"; \"e\" ]);\n\
     \  x\n";
   (* the placement index has a zero budget: one tuple is too many... *)

@@ -1,4 +1,4 @@
-(* The vector layer: Vec/Vec.Scaled arithmetic, the DVBP engine, and
+(* The vector layer: Vec arithmetic, the DVBP engine, and
    the d=1 embedding — a scalar instance pushed through the vector
    engine must be bit-identical to the scalar engine (same packing,
    same cost, same trace bytes, same metrics) across every registry
@@ -55,53 +55,6 @@ let test_vec_strings () =
     (Vec.to_string (Vec.scalar (r 7 3)));
   Alcotest.check_raises "empty" (Failure "Vec.of_string: empty string")
     (fun () -> ignore (Vec.of_string ""))
-
-let test_scaled_round_trip () =
-  let capacity = v [ (1, 1); (2, 1) ] in
-  match Vec.Scaled.including (Vec.Scaled.base ~dims:2) capacity with
-  | None -> Alcotest.fail "grid refused the capacity"
-  | Some g -> (
-      let g =
-        match Vec.Scaled.including g (v [ (1, 6); (3, 10) ]) with
-        | None -> Alcotest.fail "grid refused the sizes"
-        | Some g -> g
-      in
-      let x = v [ (5, 6); (13, 10) ] in
-      match Vec.Scaled.of_vec g x with
-      | None -> Alcotest.fail "on-grid vector refused"
-      | Some sx ->
-          Alcotest.check vec "to_vec inverts of_vec" x (Vec.Scaled.to_vec g sx);
-          (* Off-grid is refused, never rounded. *)
-          Alcotest.(check bool) "off-grid refused" true
-            (Vec.Scaled.of_vec g (v [ (1, 7); (1, 2) ]) = None);
-          let y = v [ (1, 6); (7, 10) ] in
-          let sy = Option.get (Vec.Scaled.of_vec g y) in
-          Alcotest.check vec "add mirrors exact" (Vec.add x y)
-            (Vec.Scaled.to_vec g (Vec.Scaled.add sx sy));
-          Alcotest.check vec "sub mirrors exact" (Vec.sub x y)
-            (Vec.Scaled.to_vec g (Vec.Scaled.sub sx sy));
-          Alcotest.(check bool) "le mirrors exact" (Vec.le y x)
-            (Vec.Scaled.le sy sx))
-
-(* Mirror agreement under random on-grid vectors. *)
-let scaled_agreement =
-  QCheck2.Test.make ~count:500 ~name:"scaled ops agree with exact"
-    QCheck2.Gen.(
-      let comp = map (fun n -> Rat.make n 60) (int_range 0 240) in
-      let vecgen d = map Vec.make (list_size (return d) comp) in
-      int_range 1 4 >>= fun d -> pair (vecgen d) (vecgen d))
-    (fun (a, b) ->
-      let g =
-        Option.get
-          (Vec.Scaled.including
-             (Option.get (Vec.Scaled.including (Vec.Scaled.base ~dims:(Vec.dim a)) a))
-             b)
-      in
-      let sa = Option.get (Vec.Scaled.of_vec g a)
-      and sb = Option.get (Vec.Scaled.of_vec g b) in
-      Vec.equal (Vec.add a b) (Vec.Scaled.to_vec g (Vec.Scaled.add sa sb))
-      && Vec.Scaled.le sa sb = Vec.le a b
-      && Vec.Scaled.equal sa sb = Vec.equal a b)
 
 (* ---- the d=1 embedding ---------------------------------------------- *)
 
@@ -322,21 +275,6 @@ let d2_instance_gen_static seed =
   in
   Vec_instance.create ~capacity:(Vec.ones ~dims:2) items
 
-(* The exact engine and the mirrored engine agree bin-for-bin. *)
-let test_mirror_vs_exact () =
-  let inst = d2_instance_gen_static 77L in
-  List.iter
-    (fun (vp : Vec_policy.t) ->
-      let mirrored = Vec_simulator.run ~policy:vp inst in
-      let exact = Vec_simulator.run ~grid:None ~policy:vp inst in
-      check_rat
-        (vp.Vec_policy.name ^ ": cost")
-        mirrored.r_total_cost exact.r_total_cost;
-      Alcotest.(check (array int))
-        (vp.Vec_policy.name ^ ": assignment")
-        mirrored.r_assignment exact.r_assignment)
-    Vec_policy.all
-
 (* ---- checkpointing --------------------------------------------------- *)
 
 (* Freeze mid-run, thaw, replay the tail: identical to the
@@ -417,14 +355,11 @@ let suite =
     Alcotest.test_case "vec basics" `Quick test_vec_basics;
     Alcotest.test_case "vec norms" `Quick test_vec_norms;
     Alcotest.test_case "vec strings" `Quick test_vec_strings;
-    Alcotest.test_case "scaled round trip" `Quick test_scaled_round_trip;
-    QCheck_alcotest.to_alcotest scaled_agreement;
     Alcotest.test_case "lifted embedding" `Quick test_lifted_embedding;
     Alcotest.test_case "native twins" `Quick test_native_twins;
     QCheck_alcotest.to_alcotest embedding_property;
     Alcotest.test_case "d2 componentwise fit" `Quick test_d2_componentwise_fit;
     Alcotest.test_case "d2 norms disagree" `Quick test_d2_norms_disagree;
-    Alcotest.test_case "mirror vs exact" `Quick test_mirror_vs_exact;
     Alcotest.test_case "checkpoint resume" `Quick test_checkpoint_resume;
     Alcotest.test_case "vector snapshot" `Quick test_vector_snapshot;
   ]
