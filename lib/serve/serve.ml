@@ -52,9 +52,99 @@ type summary = {
   su_shard_costs : Rat.t array;
 }
 
+(* ---- the outbound byte buffer ---------------------------------------- *)
+
+(* Pending output is the byte range [off, len) of one growable buffer.
+   Placements are formatted straight into it, and a flush hands the
+   whole range to the descriptor: one write(2) per 64 KiB, however
+   many lines it holds. *)
+module Outbuf = struct
+  type t = { mutable buf : Bytes.t; mutable off : int; mutable len : int }
+
+  let with_capacity n = { buf = Bytes.create n; off = 0; len = 0 }
+  let create () = with_capacity 65536
+  let is_empty t = t.off = t.len
+  let size t = t.len - t.off
+
+  (* Room for [n] more bytes at [len].  The pending range slides to the
+     front, into a buffer at least twice its new size, so a backlog
+     that keeps growing is copied O(1) times per byte. *)
+  let reserve t n =
+    if t.len + n > Bytes.length t.buf then begin
+      let pending = t.len - t.off in
+      let cap = ref (Bytes.length t.buf) in
+      while 2 * (pending + n) > !cap do
+        cap := 2 * !cap
+      done;
+      let dst =
+        if !cap = Bytes.length t.buf then t.buf else Bytes.create !cap
+      in
+      Bytes.blit t.buf t.off dst 0 pending;
+      t.buf <- dst;
+      t.off <- 0;
+      t.len <- pending
+    end
+
+  let add_string t s =
+    let n = String.length s in
+    reserve t n;
+    Bytes.blit_string s 0 t.buf t.len n;
+    t.len <- t.len + n
+
+  (* Decimal digits, written back to front.  The value is negated onto
+     the non-positive side, which holds [min_int] too. *)
+  let add_int t i =
+    if i < 0 then add_string t "-";
+    let m = if i < 0 then i else -i in
+    let rec digits m d = if m > -10 then d else digits (m / 10) (d + 1) in
+    let d = digits m 1 in
+    reserve t d;
+    let m = ref m in
+    for pos = t.len + d - 1 downto t.len do
+      Bytes.set t.buf pos (Char.chr (48 - (!m mod 10)));
+      m := !m / 10
+    done;
+    t.len <- t.len + d
+
+  let add_placement t p =
+    add_string t {|{"kind":"place","seq":|};
+    add_int t p.p_seq;
+    add_string t {|,"item":|};
+    add_int t p.p_item;
+    add_string t {|,"bin":|};
+    add_int t p.p_bin;
+    add_string t {|,"shard":|};
+    add_int t p.p_shard;
+    add_string t "}\n"
+
+  (* Hand the pending bytes to a non-blocking descriptor: one
+     [single_write] per 64 KiB chunk, until the descriptor takes less
+     than it was offered.  EAGAIN leaves the rest for the next flush;
+     a hang-up (EPIPE, ECONNRESET) propagates. *)
+  let write_some t fd =
+    let rec go () =
+      let len = min (t.len - t.off) 65536 in
+      if len > 0 then
+        match Unix.single_write fd t.buf t.off len with
+        | n ->
+            t.off <- t.off + n;
+            if t.off = t.len then begin
+              t.off <- 0;
+              t.len <- 0
+            end
+            else if n = len then go ()
+        | exception
+            Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+          ->
+            ()
+    in
+    go ()
+end
+
 let placement_line p =
-  Printf.sprintf {|{"kind":"place","seq":%d,"item":%d,"bin":%d,"shard":%d}|}
-    p.p_seq p.p_item p.p_bin p.p_shard
+  let b = Outbuf.with_capacity 128 in
+  Outbuf.add_placement b p;
+  Bytes.sub_string b.Outbuf.buf 0 (b.Outbuf.len - 1)
 
 let summary_line cfg su =
   let shard_costs =
@@ -395,47 +485,6 @@ module Fleet = struct
          frozen)
 end
 
-(* ---- non-blocking output queue -------------------------------------- *)
-
-module Outbuf = struct
-  type t = { q : string Queue.t; mutable head_off : int; mutable size : int }
-
-  let create () = { q = Queue.create (); head_off = 0; size = 0 }
-
-  let add t s =
-    Queue.add s t.q;
-    t.size <- t.size + String.length s
-
-  let is_empty t = t.size = 0
-  let size t = t.size
-
-  (* Drain as much as the (non-blocking) descriptor will take: keep
-     writing head chunks until EAGAIN or empty.  One chunk per call
-     would throttle a bounded flush loop to one line per select
-     tick — far too slow to evacuate a deep placement backlog. *)
-  let write_some t fd =
-    let rec go () =
-      match Queue.peek_opt t.q with
-      | None -> ()
-      | Some s -> (
-          let len = String.length s - t.head_off in
-          match Unix.write_substring fd s t.head_off len with
-          | n ->
-              t.head_off <- t.head_off + n;
-              t.size <- t.size - n;
-              if t.head_off >= String.length s then begin
-                ignore (Queue.pop t.q);
-                t.head_off <- 0
-              end;
-              if n > 0 then go ()
-          | exception
-              Unix.Unix_error
-                ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-              ())
-    in
-    go ()
-end
-
 let set_nonblock fd =
   match Unix.set_nonblock fd with
   | () -> ()
@@ -461,15 +510,19 @@ let install_sigterm () =
 
 (* Returns [Ok (summary, terminated)]: [terminated] is true when the
    session ended because [should_stop] fired (daemon shutdown) rather
-   than client EOF. *)
+   than client EOF.  [Error] ends this connection only: a protocol
+   error (after its one error line) or a client hang-up.  Engine and
+   shard-pool failures raise. *)
 let session fleet cfg ?checkpoint ~should_stop ~input ~output () =
   let feed = TE.Feed.create () in
   let buf = Bytes.create 65536 in
   let outq = Outbuf.create () in
+  let wake = Shard_pool.wakeup_fd fleet.Fleet.pool in
   set_nonblock input;
   set_nonblock output;
-  let emit_placements pls =
-    List.iter (fun p -> Outbuf.add outq (placement_line p ^ "\n")) pls
+  let add_line s =
+    Outbuf.add_string outq s;
+    Outbuf.add_string outq "\n"
   in
   (* Bounded post-EOF flush: keep writing while the client drains, give
      up only after ~10 s with zero progress.  The bound must be on
@@ -498,73 +551,69 @@ let session fleet cfg ?checkpoint ~should_stop ~input ~output () =
   in
   let cut ~term =
     let pl, frozen = Fleet.snapshot fleet in
-    emit_placements pl;
+    List.iter (Outbuf.add_placement outq) pl;
     let su = Fleet.summarize fleet frozen in
     (if term then
        match checkpoint with
        | Some prefix ->
            ignore (Fleet.write_checkpoints fleet ~prefix frozen)
        | None -> ());
-    Outbuf.add outq (summary_line cfg su ^ "\n");
+    add_line (summary_line cfg su);
     flush_all ();
     Ok (su, term)
   in
   let fail_session msg line =
-    Outbuf.add outq (line ^ "\n");
+    add_line line;
     flush_all ();
     Error msg
   in
-  let apply_events evs =
-    List.iter (Fleet.apply fleet) evs;
-    emit_placements (Fleet.placements fleet)
+  let apply_events evs k =
+    match List.iter (Fleet.apply fleet) evs with
+    | () -> k ()
+    | exception Protocol msg -> fail_session msg (error_line msg)
   in
+  (* The input's answers come back through the shard pool's wake-up
+     descriptor, so the loop waits on both: a placement leaves as soon
+     as its shard posts it, in the same flush as every other placement
+     that is ready.  The timeout only bounds how late [should_stop] is
+     seen. *)
   let rec loop () =
     if should_stop () then cut ~term:true
     else begin
       let wr = if Outbuf.is_empty outq then [] else [ output ] in
-      match Unix.select [ input ] wr [] 0.2 with
+      match Unix.select [ input; wake ] wr [] 0.2 with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | rs, ws, _ -> (
-          (match ws with [] -> () | _ -> Outbuf.write_some outq output);
-          match rs with
-          | [] ->
-              (* Idle tick: shards may still be chewing a backlog, so
-                 keep draining their answers even with no new input. *)
-              emit_placements (Fleet.placements fleet);
-              loop ()
-          | _ -> (
-              match Unix.read input buf 0 (Bytes.length buf) with
-              | exception
-                  Unix.Unix_error
-                    ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-                  loop ()
-              | 0 -> (
-                  (* End of stream: flush the feed's final (possibly
-                     newline-less) line, drain the fleet, summarise. *)
-                  match TE.Feed.close feed with
-                  | Error e ->
-                      fail_session
-                        (TE.stream_error_to_string e)
-                        (stream_error_line e)
-                  | Ok evs -> (
-                      match apply_events evs with
-                      | () -> cut ~term:false
-                      | exception Protocol msg ->
-                          fail_session msg (error_line msg)))
-              | n -> (
-                  match TE.Feed.feed feed (Bytes.sub_string buf 0 n) with
-                  | Error e ->
-                      fail_session
-                        (TE.stream_error_to_string e)
-                        (stream_error_line e)
-                  | Ok evs -> (
-                      match apply_events evs with
-                      | () -> loop ()
-                      | exception Protocol msg ->
-                          fail_session msg (error_line msg)))))
+      | rs, ws, _ ->
+          let woken = List.mem wake rs in
+          if woken then
+            List.iter (Outbuf.add_placement outq) (Fleet.placements fleet);
+          if (woken || ws <> []) && not (Outbuf.is_empty outq) then
+            Outbuf.write_some outq output;
+          if List.mem input rs then read_input () else loop ()
     end
+  and read_input () =
+    match Unix.read input buf 0 (Bytes.length buf) with
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+      ->
+        loop ()
+    | 0 -> (
+        (* End of stream: flush the feed's final (possibly newline-less)
+           line, drain the fleet, summarise. *)
+        match TE.Feed.close feed with
+        | Error e ->
+            fail_session (TE.stream_error_to_string e) (stream_error_line e)
+        | Ok evs -> apply_events evs (fun () -> cut ~term:false))
+    | n -> (
+        match TE.Feed.feed feed (Bytes.sub_string buf 0 n) with
+        | Error e ->
+            fail_session (TE.stream_error_to_string e) (stream_error_line e)
+        | Ok evs -> apply_events evs loop)
   in
-  loop ()
+  match loop () with
+  | r -> r
+  | exception Unix.Unix_error (((Unix.EPIPE | Unix.ECONNRESET) as e), _, _) ->
+      Error ("client hung up: " ^ Unix.error_message e)
 
 (* Engine/session failures that surface out of the shard pool (or the
    fleet's own validation) all mean the stream was unserveable. *)
@@ -576,55 +625,68 @@ let guard f =
   | exception Simulator.Invalid_decision msg -> Error ("engine: " ^ msg)
   | exception Shard_pool.Stopped -> Error "shard pool stopped"
 
+(* The fleet's domains and wake-up pipe go with the call however it
+   ends.  A parked shard failure has already surfaced through the
+   session by then, so shutdown's re-raise of it is dropped. *)
+let with_fleet cfg f =
+  let fleet = Fleet.create cfg in
+  Fun.protect
+    ~finally:(fun () ->
+      match Fleet.shutdown fleet with () -> () | exception _e -> ())
+    (fun () -> f fleet)
+
 let run_stream cfg ?checkpoint ?(should_stop = fun () -> false) ~input
     ~output () =
   guard (fun () ->
-      let fleet = Fleet.create cfg in
-      let r = session fleet cfg ?checkpoint ~should_stop ~input ~output () in
-      (match Fleet.shutdown fleet with
-      | () -> ()
-      | exception _e -> ());
-      Result.map fst r)
+      with_fleet cfg (fun fleet ->
+          session fleet cfg ?checkpoint ~should_stop ~input ~output ()
+          |> Result.map fst))
 
 let run_listener cfg ?checkpoint ?(should_stop = fun () -> false) lfd =
   guard (fun () ->
-      let fleet = Fleet.create cfg in
-      let finish_term () =
-        let _pl, frozen = Fleet.snapshot fleet in
-        (match checkpoint with
-        | Some prefix -> ignore (Fleet.write_checkpoints fleet ~prefix frozen)
-        | None -> ());
-        let su = Fleet.summarize fleet frozen in
-        Fleet.shutdown fleet;
-        Ok su
-      in
-      let rec accept_loop () =
-        if should_stop () then finish_term ()
-        else
-          match Unix.select [ lfd ] [] [] 0.2 with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-          | [], _, _ -> accept_loop ()
-          | _ :: _, _, _ ->
-              let fd, _ = Unix.accept lfd in
-              let r =
-                session fleet cfg ?checkpoint ~should_stop ~input:fd
-                  ~output:fd ()
-              in
-              (match Unix.close fd with
-              | () -> ()
-              | exception Unix.Unix_error _ -> ());
-              (match r with
-              | Ok (su, true) ->
-                  (* SIGTERM mid-connection: checkpoints are already
-                     flushed by the session's cut. *)
-                  Fleet.shutdown fleet;
-                  Ok su
-              | Ok (_, false) -> accept_loop ()
-              | Error msg ->
-                  Fleet.shutdown fleet;
-                  Error msg)
-      in
-      accept_loop ())
+      with_fleet cfg (fun fleet ->
+          let finish_term () =
+            let _pl, frozen = Fleet.snapshot fleet in
+            (match checkpoint with
+            | Some prefix ->
+                ignore (Fleet.write_checkpoints fleet ~prefix frozen)
+            | None -> ());
+            Ok (Fleet.summarize fleet frozen)
+          in
+          let rec accept_loop () =
+            if should_stop () then finish_term ()
+            else
+              match Unix.select [ lfd ] [] [] 0.2 with
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
+              | [], _, _ -> accept_loop ()
+              | _ :: _, _, _ -> (
+                  let fd, _ = Unix.accept ~cloexec:true lfd in
+                  let r =
+                    Fun.protect
+                      ~finally:(fun () ->
+                        match Unix.close fd with
+                        | () -> ()
+                        | exception Unix.Unix_error _ -> ())
+                      (fun () ->
+                        session fleet cfg ?checkpoint ~should_stop ~input:fd
+                          ~output:fd ())
+                  in
+                  match r with
+                  | Ok (su, true) ->
+                      (* SIGTERM mid-connection: checkpoints are already
+                         flushed by the session's cut. *)
+                      Ok su
+                  | Ok (_, false) -> accept_loop ()
+                  | Error _ ->
+                      (* A hang-up or a protocol error ends this
+                         connection only.  Its sessions stay resident
+                         (item ids are fleet-wide, so a later connection
+                         may depart them), but its undelivered
+                         placements must not reach the next client. *)
+                      ignore (Fleet.quiesce fleet);
+                      accept_loop ())
+          in
+          accept_loop ()))
 
 (* ---- replay client --------------------------------------------------- *)
 
@@ -680,7 +742,8 @@ let pump fd ~next_line ~on_line =
       if Outbuf.size outq < 262144 && not !sent_all then
         match next_line () with
         | Some l ->
-            Outbuf.add outq (l ^ "\n");
+            Outbuf.add_string outq l;
+            Outbuf.add_string outq "\n";
             go ()
         | None ->
             if Outbuf.is_empty outq then begin

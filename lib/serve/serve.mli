@@ -5,9 +5,11 @@
     (stdin, a Unix socket, or TCP), answers each arrival with a
     placement line naming the bin, and shards bins across OCaml 5
     domains — each shard a full {!Dbp_core.Simulator.Online} engine
-    behind a {!Shard_pool} mailbox, events batched per tick, arrivals
-    routed by {!Router} (MFF's large/small pool split as the sharding
-    strategy).
+    behind a {!Shard_pool} mailbox, arrivals routed by {!Router}
+    (MFF's large/small pool split as the sharding strategy).  A
+    placement goes out as soon as its shard answers: the session loop
+    waits on its input and the pool's wake-up descriptor together, and
+    every placement that is ready leaves in one write.
 
     Wire protocol, server to client, one JSON object per line:
     - [{"kind":"place","seq":s,"item":i,"bin":b,"shard":k}] — the
@@ -18,9 +20,11 @@
       fleet cost is the exact {!Dbp_num.Rat} sum of per-shard costs,
       and at [--shards 1] its string is bit-identical to
       [dbp simulate] on the same instance.
-    - [{"kind":"error",...}] — protocol violation; the daemon exits
-      with status 2 (malformed input, sequence/time violations,
-      unknown departures, oversized items).
+    - [{"kind":"error",...}] — protocol violation (malformed input,
+      sequence/time violations, unknown departures, oversized items).
+      Under [--stdio] the daemon then exits with status 2.  On a
+      socket ([--socket], [--tcp]) only that connection is closed, and
+      the daemon keeps serving the next one.
 
     Client to server: [dbp-trace/2] [arrive] and [depart] events,
     sequence numbers exactly [0, 1, 2, ...] per connection, time
@@ -78,7 +82,30 @@ type summary = {
 }
 
 val placement_line : placement -> string
+(** The placement's wire line, without its newline.  Formatted by
+    {!Outbuf.add_placement}, so it is byte for byte what the daemon
+    sends. *)
+
 val summary_line : config -> summary -> string
+
+(** The outbound buffer of a serve connection: one growable byte
+    buffer.  Placements are formatted straight into it, and a flush
+    hands every pending byte to the descriptor, one write(2) per
+    64 KiB however many lines that is. *)
+module Outbuf : sig
+  type t
+
+  val create : unit -> t
+  val is_empty : t -> bool
+
+  val add_placement : t -> placement -> unit
+  (** Appends [placement_line p ^ "\n"]. *)
+
+  val write_some : t -> Unix.file_descr -> unit
+  (** Write as much of the pending bytes as the non-blocking
+      descriptor takes; the rest waits for the next call.
+      @raise Unix.Unix_error on a hang-up ([EPIPE], [ECONNRESET]). *)
+end
 
 (** The transport-independent fleet: shard engines, router, session
     tables, budget.  Exposed so tests can drive it directly. *)
@@ -143,9 +170,12 @@ val run_stream :
   (summary, string) result
 (** Serve one NDJSON stream to completion ([--stdio] and the replay
     socketpair): placements and the final summary go to [output].
-    [should_stop] is polled between ticks; when it fires the daemon
-    quiesces, writes [checkpoint] snapshots if configured, emits the
-    summary and returns. *)
+    Each placement is written as soon as its shard posts it.
+    [should_stop] is polled at least every 0.2 s; when it fires the
+    daemon quiesces, writes [checkpoint] snapshots if configured,
+    emits the summary and returns.  A protocol error (after its one
+    error line) or a client hang-up returns [Error]; the CLI maps it
+    to exit 2. *)
 
 val run_listener :
   config ->
@@ -157,8 +187,12 @@ val run_listener :
     socket, each connection a fresh sequence-numbered stream against
     the {e same} fleet (sessions persist across connections; time is
     monotone for the daemon's lifetime).  Each client receives a
-    summary when its stream ends.  Returns at SIGTERM (flushing
-    checkpoints) or on a protocol error. *)
+    summary when its stream ends.  A protocol error (after its one
+    error line) or a hang-up closes that connection only: its
+    undelivered placements are dropped, its resident sessions stay in
+    the fleet (a later connection may depart them), and the next
+    client is accepted.  Returns at SIGTERM (flushing checkpoints);
+    an engine or shard-pool failure returns [Error]. *)
 
 val replay_client :
   ?echo:(string -> unit) ->

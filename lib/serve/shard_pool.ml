@@ -7,7 +7,10 @@
    are only touched under [olock]; each mailbox only under its own
    [lock].  Shard state reached by [handler] is created before the
    domains spawn (the spawn edge publishes it) and touched by exactly
-   one domain afterwards, so no further synchronisation is needed. *)
+   one domain afterwards, so no further synchronisation is needed.
+   The wake-up pipe's read end and [wake_open] belong to the owner;
+   workers only write to the (non-blocking) write end, and [shutdown]
+   closes both ends after joining them. *)
 
 exception Stopped
 
@@ -28,15 +31,31 @@ type ('req, 'resp) t = {
   mutable failure : (exn * Printexc.raw_backtrace) option;
   mutable stopped : bool;
   mutable domains : unit Domain.t array;
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  wake_buf : Bytes.t;  (* the owner's scratch for draining [wake_r] *)
+  mutable wake_open : bool;
 }
 
 let shards t = Array.length t.boxes
+let wakeup_fd t = t.wake_r
 
-(* One worker: wake, transfer the whole mailbox (the tick batch),
-   process it, post the responses in one outbox append.  A handler
-   exception kills the shard: its queued work is discarded (and
-   accounted out of [pending] so quiesce still converges), the first
-   pool-wide failure is parked for the owner to re-raise. *)
+(* One byte tells the owner to poll.  A full pipe already holds bytes
+   the owner has not drained, so EAGAIN loses nothing. *)
+let wake t =
+  match Unix.single_write_substring t.wake_w "!" 0 1 with
+  | _ -> ()
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+    ->
+      ()
+
+(* One worker: wake, transfer the whole mailbox (the batch), process
+   it, post the responses in one outbox append, and write a wake-up
+   byte if that append made the outbox non-empty.  A handler exception
+   kills the shard: its queued work is discarded (and accounted out of
+   [pending] so quiesce still converges), the first pool-wide failure
+   is parked for the owner to re-raise, and the owner is woken so that
+   [poll] re-raises it. *)
 let worker t k () =
   let box = t.boxes.(k) in
   let batch = Queue.create () in
@@ -65,10 +84,12 @@ let worker t k () =
       match outcome with
       | None ->
           Mutex.lock t.olock;
+          let was_empty = Queue.is_empty t.outbox in
           List.iter (fun p -> Queue.add p t.outbox) (List.rev !out);
           t.pending <- t.pending - n;
           Condition.broadcast t.ocond;
           Mutex.unlock t.olock;
+          if was_empty && not (List.is_empty !out) then wake t;
           loop ()
       | Some f ->
           Mutex.lock box.lock;
@@ -80,7 +101,8 @@ let worker t k () =
           if Option.is_none t.failure then t.failure <- Some f;
           t.pending <- t.pending - n - leftover;
           Condition.broadcast t.ocond;
-          Mutex.unlock t.olock
+          Mutex.unlock t.olock;
+          wake t
     end
   in
   loop ()
@@ -96,6 +118,9 @@ let create ~shards ~handler =
           stop = false;
         })
   in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
   let t =
     {
       boxes;
@@ -107,6 +132,10 @@ let create ~shards ~handler =
       failure = None;
       stopped = false;
       domains = [||];
+      wake_r;
+      wake_w;
+      wake_buf = Bytes.create 256;
+      wake_open = true;
     }
   in
   t.domains <- Array.init shards (fun k -> Domain.spawn (worker t k));
@@ -145,11 +174,33 @@ let drain_outbox t =
   done;
   List.rev !out
 
+(* Read until the pipe is empty: a short read means it is. *)
+let drain_wakeups t =
+  let len = Bytes.length t.wake_buf in
+  let rec go () =
+    match Unix.read t.wake_r t.wake_buf 0 len with
+    | n -> if n = len then go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+  in
+  go ()
+
+(* The pipe is drained before the outbox.  A post that lands after the
+   outbox drain found the outbox empty and wrote a byte this drain
+   cannot have taken, so a response never sits in the outbox with no
+   byte behind it; the opposite order could lose that byte. *)
 let poll t =
-  Mutex.lock t.olock;
-  let out = drain_outbox t in
-  Mutex.unlock t.olock;
-  out
+  if not t.wake_open then []
+  else begin
+    drain_wakeups t;
+    Mutex.lock t.olock;
+    let out = drain_outbox t in
+    let f = t.failure in
+    Mutex.unlock t.olock;
+    match f with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> out
+  end
 
 let quiesce t =
   Mutex.lock t.olock;
@@ -162,6 +213,9 @@ let quiesce t =
   match f with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> out
+
+let close_quietly fd =
+  match Unix.close fd with () -> () | exception Unix.Unix_error _ -> ()
 
 let shutdown t =
   Mutex.lock t.olock;
@@ -178,6 +232,10 @@ let shutdown t =
         Mutex.unlock box.lock)
       t.boxes;
     Array.iter Domain.join t.domains;
+    (* Every writer has exited: the pipe can go. *)
+    t.wake_open <- false;
+    close_quietly t.wake_r;
+    close_quietly t.wake_w;
     Mutex.lock t.olock;
     let out = drain_outbox t in
     let f = t.failure in

@@ -55,15 +55,24 @@ let test_pool_batches_survive_idle () =
   Alcotest.(check bool) "quiesce flushed the tail" true
     (List.length rest <= 100)
 
+let readable ?(timeout = 1.0) fd =
+  match Unix.select [ fd ] [] [] timeout with [], _, _ -> false | _ -> true
+
 let test_pool_failure_contract () =
   let pool =
     Shard_pool.create ~shards:2 ~handler:(fun ~shard:_ req ->
         if req = 13 then failwith "boom-13";
         [ req ])
   in
-  for i = 0 to 30 do
-    Shard_pool.submit pool ~shard:(i mod 2) i
-  done;
+  (* Shard 1 may fail while the loop still runs; from then on submit
+     refuses with [Stopped], as documented, so the loop stops there. *)
+  let rec submit_from i =
+    if i <= 30 then
+      match Shard_pool.submit pool ~shard:(i mod 2) i with
+      | () -> submit_from (i + 1)
+      | exception Shard_pool.Stopped -> ()
+  in
+  submit_from 0;
   (match Shard_pool.quiesce pool with
   | _ -> Alcotest.fail "quiesce should re-raise the shard failure"
   | exception Failure msg ->
@@ -71,11 +80,91 @@ let test_pool_failure_contract () =
   (match Shard_pool.submit pool ~shard:0 99 with
   | () -> Alcotest.fail "submit should refuse after a failure"
   | exception Shard_pool.Stopped -> ());
+  Alcotest.(check bool) "wake-up descriptor readable once the failure is parked"
+    true
+    (readable (Shard_pool.wakeup_fd pool));
   (* Shutdown re-raises the parked failure after joining domains. *)
   match Shard_pool.shutdown pool with
   | _ -> Alcotest.fail "shutdown should re-raise the shard failure"
   | exception Failure msg ->
       Alcotest.(check string) "parked failure" "boom-13" msg
+
+(* A failure is a wake-up of its own: with no response ever posted, the
+   byte the owner wakes on can only be the failure's, and [poll]
+   re-raises the handler's exception. *)
+let test_pool_poll_reraises () =
+  let pool =
+    Shard_pool.create ~shards:1 ~handler:(fun ~shard:_ _ -> failwith "boom-poll")
+  in
+  Shard_pool.submit pool ~shard:0 ();
+  Alcotest.(check bool) "a parked failure wakes the owner" true
+    (readable (Shard_pool.wakeup_fd pool));
+  (match Shard_pool.poll pool with
+  | _ -> Alcotest.fail "poll should re-raise the shard failure"
+  | exception Failure msg ->
+      Alcotest.(check string) "original exception" "boom-poll" msg);
+  match Shard_pool.shutdown pool with
+  | _ -> Alcotest.fail "shutdown should re-raise the shard failure"
+  | exception Failure _ -> ()
+
+(* The owner polls only when [select] says the wake-up descriptor is
+   readable.  Bursts of requests (every third answered with nothing)
+   alternate with pauses and with waits for every answer; a wait that
+   times out with an answer still owed is a lost wake-up. *)
+let prop_wakeup_storm =
+  qcheck ~count:200 "no lost wake-up under bursts and pauses"
+    QCheck2.Gen.(
+      pair (int_range 1 3)
+        (list_size (int_range 1 12) (pair (int_range 0 64) (int_range 0 3))))
+    (fun (shards, script) ->
+      let pool =
+        Shard_pool.create ~shards ~handler:(fun ~shard:_ r ->
+            if r mod 3 = 0 then [] else [ r ])
+      in
+      let fd = Shard_pool.wakeup_fd pool in
+      let sent = ref 0 and owed = ref 0 and got = ref 0 and lost = ref false in
+      let take () = got := !got + List.length (Shard_pool.poll pool) in
+      let wait_all () =
+        while (not !lost) && !got < !owed do
+          if readable fd then take () else lost := true
+        done
+      in
+      List.iter
+        (fun (burst, pause) ->
+          for _ = 1 to burst do
+            Shard_pool.submit pool ~shard:(!sent mod shards) !sent;
+            if !sent mod 3 <> 0 then incr owed;
+            incr sent;
+            if readable ~timeout:0.0 fd then take ()
+          done;
+          if pause = 0 then wait_all ()
+          else Unix.sleepf (float_of_int pause *. 1e-4))
+        script;
+      wait_all ();
+      ignore (Shard_pool.shutdown pool);
+      (not !lost) && !got = !owed)
+
+(* Each pool owns a pipe; shutdown closes both ends, also when it
+   re-raises a parked failure. *)
+let test_pool_fds_released () =
+  let fd_dir = "/proc/self/fd" in
+  if Sys.file_exists fd_dir then begin
+    let count () = Array.length (Sys.readdir fd_dir) in
+    let before = count () in
+    for cycle = 1 to 50 do
+      let failing = cycle mod 2 = 0 in
+      let pool =
+        Shard_pool.create ~shards:2 ~handler:(fun ~shard:_ r ->
+            if failing then failwith "boom-fd";
+            [ r ])
+      in
+      Shard_pool.submit pool ~shard:(cycle mod 2) cycle;
+      match Shard_pool.shutdown pool with
+      | _ -> if failing then Alcotest.fail "shutdown should re-raise"
+      | exception Failure _ -> ()
+    done;
+    Alcotest.(check int) "open descriptors after 50 pools" before (count ())
+  end
 
 (* ---- router ---------------------------------------------------------- *)
 
@@ -363,6 +452,300 @@ let test_replay_socketpair_end_to_end () =
       Alcotest.(check int) "every arrival answered"
         (Instance.size instance) !lines
 
+(* ---- the wire: prompt answers, exact bytes, one connection at a time -- *)
+
+(* The wire format as a Printf format string: the oracle the in-place
+   formatter must match byte for byte. *)
+let oracle_line (p : Serve.placement) =
+  Printf.sprintf {|{"kind":"place","seq":%d,"item":%d,"bin":%d,"shard":%d}|}
+    p.Serve.p_seq p.Serve.p_item p.Serve.p_bin p.Serve.p_shard
+
+let placement_gen =
+  let field = QCheck2.Gen.(oneof [ oneofl [ 0; max_int; min_int; -1 ]; int ]) in
+  QCheck2.Gen.map4
+    (fun s i b k -> { Serve.p_seq = s; p_item = i; p_bin = b; p_shard = k })
+    field field field field
+
+let drain_available fd into =
+  let chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | n when n > 0 ->
+        Buffer.add_subbytes into chunk 0 n;
+        go ()
+    | _ -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  go ()
+
+let prop_outbuf_bytes =
+  qcheck ~count:200 "buffered placement bytes equal placement_line"
+    QCheck2.Gen.(
+      list_size (int_range 0 400) (pair placement_gen (int_range 0 7)))
+    (fun script ->
+      let r, w = Unix.pipe ~cloexec:true () in
+      Unix.set_nonblock r;
+      Unix.set_nonblock w;
+      let ob = Serve.Outbuf.create () and got = Buffer.create 4096 in
+      let flush () =
+        Serve.Outbuf.write_some ob w;
+        drain_available r got
+      in
+      List.iter
+        (fun (p, f) ->
+          Serve.Outbuf.add_placement ob p;
+          if f = 0 then flush ())
+        script;
+      while not (Serve.Outbuf.is_empty ob) do
+        flush ()
+      done;
+      Unix.close r;
+      Unix.close w;
+      let ps = List.map fst script in
+      List.for_all (fun p -> Serve.placement_line p = oracle_line p) ps
+      && Buffer.contents got
+         = String.concat "" (List.map (fun p -> Serve.placement_line p ^ "\n") ps))
+
+(* Lines from a connection, each awaited for at most [timeout]
+   seconds; [None] at end of stream. *)
+type line_reader = { rfd : Unix.file_descr; part : Buffer.t; chunk : Bytes.t }
+
+let line_reader ?(chunk = 4096) rfd =
+  { rfd; part = Buffer.create 256; chunk = Bytes.create chunk }
+
+let read_line ?(timeout = 5.0) lr =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let rec go () =
+    let s = Buffer.contents lr.part in
+    match String.index_opt s '\n' with
+    | Some i ->
+        Buffer.clear lr.part;
+        Buffer.add_substring lr.part s (i + 1) (String.length s - i - 1);
+        Some (String.sub s 0 i)
+    | None -> (
+        let left = deadline -. Unix.gettimeofday () in
+        if left <= 0.0 then Alcotest.fail "no line from the daemon in time";
+        match Unix.select [ lr.rfd ] [] [] left with
+        | [], _, _ -> go ()
+        | _ -> (
+            match Unix.read lr.rfd lr.chunk 0 (Bytes.length lr.chunk) with
+            | 0 ->
+                Buffer.clear lr.part;
+                if s = "" then None else Some s
+            | n ->
+                Buffer.add_subbytes lr.part lr.chunk 0 n;
+                go ()))
+  in
+  go ()
+
+let read_all ?timeout lr =
+  let rec go acc =
+    match read_line ?timeout lr with
+    | None -> List.rev acc
+    | Some l -> go (l :: acc)
+  in
+  go []
+
+let write_all fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+let arrive_line ~seq ~time ~item ~size =
+  Printf.sprintf {|{"seq":%d,"t":"%d","kind":"arrive","item":%d,"size":"%s"}|}
+    seq time item size
+  ^ "\n"
+
+let depart_line ~seq ~time ~item =
+  Printf.sprintf
+    {|{"seq":%d,"t":"%d","kind":"depart","item":%d,"bin":-1,"held":"0"}|} seq
+    time item
+  ^ "\n"
+
+let int_fields line =
+  match Dbp_obs.Trace_event.parse_flat_object line with
+  | Error e -> Alcotest.failf "reply %S: %s" line e
+  | Ok fields ->
+      fun key ->
+        match List.assoc_opt key fields with
+        | Some (Dbp_obs.Trace_event.Int i) -> i
+        | _ -> Alcotest.failf "reply %S has no %s" line key
+
+let is_kind kind line =
+  contains ~sub:(Printf.sprintf {|{"kind":"%s"|} kind) line
+
+(* The daemon side of a socketpair on a background domain. *)
+let with_stream_daemon cfg f =
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let join =
+    Shard_pool.spawn_background (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Unix.close a)
+          (fun () -> Serve.run_stream cfg ~input:a ~output:a ()))
+  in
+  let v = Fun.protect ~finally:(fun () -> Unix.close b) (fun () -> f b) in
+  match join () with
+  | Ok _ -> v
+  | Error e -> Alcotest.failf "daemon: %s" e
+
+(* A client that sends one arrival and waits gets its answer as soon as
+   the shard has placed it, not on the loop's 0.2 s timeout. *)
+let test_lone_arrivals_answered () =
+  with_stream_daemon (Serve.default_config ()) (fun fd ->
+      let lr = line_reader fd in
+      for i = 0 to 19 do
+        let t0 = Unix.gettimeofday () in
+        write_all fd (arrive_line ~seq:i ~time:(i + 1) ~item:i ~size:"1/100");
+        match read_line lr with
+        | None -> Alcotest.fail "daemon closed the stream"
+        | Some line ->
+            let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+            Alcotest.(check int) "answer to this arrival" i (int_fields line "seq");
+            if ms > 50.0 then
+              Alcotest.failf "arrival %d answered after %.1f ms" i ms
+      done;
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      match read_all lr with
+      | [ summary ] ->
+          Alcotest.(check bool) "summary last" true (is_kind "summary" summary)
+      | lines -> Alcotest.failf "%d lines after the stream ended" (List.length lines))
+
+(* The whole stream goes in before the client reads a byte, so the
+   daemon's buffer backs up behind a full socket; the client then
+   drains it 97 bytes at a time.  Every arrival is answered exactly
+   once, under its own sequence number. *)
+let test_slow_reader_every_line_once () =
+  let n = 20_000 in
+  let stream = Buffer.create (n * 140) in
+  let item_of_seq = Hashtbl.create n in
+  let seq = ref 0 in
+  for i = 0 to n - 1 do
+    Buffer.add_string stream
+      (arrive_line ~seq:!seq ~time:(2 * i) ~item:i ~size:"1/10");
+    Hashtbl.replace item_of_seq !seq i;
+    incr seq;
+    if i >= 5 then begin
+      Buffer.add_string stream
+        (depart_line ~seq:!seq ~time:((2 * i) + 1) ~item:(i - 5));
+      incr seq
+    end
+  done;
+  with_stream_daemon (Serve.default_config ()) (fun fd ->
+      write_all fd (Buffer.contents stream);
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      let lines = read_all (line_reader ~chunk:97 fd) in
+      let seen = Hashtbl.create n in
+      let places = List.filter (is_kind "place") lines in
+      List.iter
+        (fun line ->
+          let get = int_fields line in
+          let s = get "seq" in
+          if Hashtbl.mem seen s then Alcotest.failf "seq %d answered twice" s;
+          Hashtbl.replace seen s ();
+          match Hashtbl.find_opt item_of_seq s with
+          | Some item -> Alcotest.(check int) "item of its seq" item (get "item")
+          | None -> Alcotest.failf "seq %d is not an arrival" s)
+        places;
+      Alcotest.(check int) "one answer per arrival" n (Hashtbl.length seen);
+      Alcotest.(check int) "answers plus one summary" (n + 1) (List.length lines);
+      Alcotest.(check bool) "summary last" true
+        (is_kind "summary" (List.nth lines n)))
+
+(* One bad client must not take the fleet down.  Three clients in turn
+   on one daemon: one floods arrivals and hangs up without reading,
+   one sends a malformed line, and one departs a session the first
+   left behind, then replays its own.  The daemon keeps serving, none
+   of the first client's placements reach a later one, and it returns
+   [Ok] when told to stop. *)
+let test_listener_outlives_bad_clients () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dbp-serve-%d.sock" (Unix.getpid ()))
+  in
+  if Sys.file_exists path then Sys.remove path;
+  let lfd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 4;
+  let stop = Atomic.make false in
+  let cfg = { (Serve.default_config ()) with Serve.grid_den = Some 1000 } in
+  let join =
+    Shard_pool.spawn_background (fun () ->
+        Serve.run_listener cfg ~should_stop:(fun () -> Atomic.get stop) lfd)
+  in
+  let connect () =
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX path);
+    fd
+  in
+  let own = 40 in
+  Fun.protect
+    ~finally:(fun () -> Atomic.set stop true)
+    (fun () ->
+      (* 1: flood, then hang up with every placement unread. *)
+      let fd = connect () in
+      let flood = Buffer.create (30_000 * 70) in
+      for i = 0 to 29_999 do
+        Buffer.add_string flood
+          (arrive_line ~seq:i ~time:1 ~item:i ~size:"1/1000")
+      done;
+      (match write_all fd (Buffer.contents flood) with
+      | () -> ()
+      | exception Unix.Unix_error (Unix.EPIPE, _, _) -> ());
+      Unix.close fd;
+      (* 2: one malformed line, one error line back, then the close. *)
+      let fd = connect () in
+      write_all fd "garbage\n";
+      let lines = read_all (line_reader fd) in
+      Unix.close fd;
+      (match lines with
+      | [ line ] ->
+          Alcotest.(check bool) "an error line" true (is_kind "error" line)
+      | _ ->
+          Alcotest.failf "malformed client got %d lines, want 1"
+            (List.length lines));
+      (* 3: depart the flood's item 0, then a stream of its own. *)
+      let fd = connect () in
+      let stream = Buffer.create 4096 in
+      Buffer.add_string stream (depart_line ~seq:0 ~time:2 ~item:0);
+      for j = 0 to own - 1 do
+        Buffer.add_string stream
+          (arrive_line ~seq:(1 + j) ~time:(3 + j) ~item:(1_000_000 + j)
+             ~size:"1/4")
+      done;
+      for j = 0 to own - 1 do
+        Buffer.add_string stream
+          (depart_line ~seq:(1 + own + j) ~time:(3 + own + j)
+             ~item:(1_000_000 + j))
+      done;
+      write_all fd (Buffer.contents stream);
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      let lines = read_all (line_reader fd) in
+      Unix.close fd;
+      let places = List.filter (is_kind "place") lines in
+      Alcotest.(check int) "one answer per own arrival" own
+        (List.length places);
+      List.iteri
+        (fun j line ->
+          let get = int_fields line in
+          Alcotest.(check int) "own sequence number" (1 + j) (get "seq");
+          Alcotest.(check int) "own item" (1_000_000 + j) (get "item"))
+        (List.sort
+           (fun a b -> compare (int_fields a "seq") (int_fields b "seq"))
+           places);
+      match List.filter (fun l -> not (is_kind "place" l)) lines with
+      | [ summary ] ->
+          Alcotest.(check bool) "summary line" true (is_kind "summary" summary);
+          Alcotest.(check int) "the flood's item 0 departed too" (own + 1)
+            (int_fields summary "departures")
+      | _ -> Alcotest.failf "replay client got %d other lines" (List.length lines - own));
+  let result = join () in
+  Unix.close lfd;
+  Sys.remove path;
+  match result with
+  | Ok su ->
+      Alcotest.(check int) "departures in the final summary" (own + 1)
+        su.Serve.su_departures
+  | Error e -> Alcotest.failf "daemon stopped: %s" e
+
 let suite =
   [
     Alcotest.test_case "shard pool FIFO per shard" `Quick
@@ -371,6 +754,11 @@ let suite =
       test_pool_batches_survive_idle;
     Alcotest.test_case "shard pool failure contract" `Quick
       test_pool_failure_contract;
+    Alcotest.test_case "shard pool poll re-raises a failure" `Quick
+      test_pool_poll_reraises;
+    prop_wakeup_storm;
+    Alcotest.test_case "shard pool releases its descriptors" `Quick
+      test_pool_fds_released;
     Alcotest.test_case "router pool split" `Quick test_router_pool_split;
     Alcotest.test_case "one shard bit-identical" `Quick
       test_one_shard_bit_identical;
@@ -385,6 +773,13 @@ let suite =
       test_error_reply_framing;
     Alcotest.test_case "replay socketpair end-to-end" `Quick
       test_replay_socketpair_end_to_end;
+    prop_outbuf_bytes;
+    Alcotest.test_case "lone arrivals answered within 50 ms" `Quick
+      test_lone_arrivals_answered;
+    Alcotest.test_case "slow reader gets every line once" `Quick
+      test_slow_reader_every_line_once;
+    Alcotest.test_case "listener outlives bad clients" `Quick
+      test_listener_outlives_bad_clients;
     prop_one_shard_cost;
     prop_shard_costs_sum;
   ]
