@@ -1651,6 +1651,7 @@ let serve_cmd =
         serve_listener lfd (fun () ->
             try Unix.close lfd with Unix.Unix_error _ -> ())
     | None, None, Some trace, false -> (
+        S.ignore_sigpipe ();
         let instance = load_trace trace in
         let result =
           match connect with

@@ -2,26 +2,33 @@ open Dbp_num
 
 type t = { items : Item.t array; capacity : Rat.t }
 
-let create ~capacity items =
+let of_array ~capacity items =
   if Rat.sign capacity <= 0 then
     invalid_arg "Instance.create: capacity must be positive";
-  if items = [] then invalid_arg "Instance.create: empty item list";
-  List.iter
+  if Array.length items = 0 then invalid_arg "Instance.create: empty item list";
+  Array.iter
     (fun (r : Item.t) ->
       if Rat.(r.size > capacity) then
         invalid_arg
           (Format.asprintf "Instance.create: %a exceeds capacity %a" Item.pp r
              Rat.pp capacity))
     items;
-  let items =
-    Array.of_list
-      (List.mapi
-         (fun id (r : Item.t) ->
-           Item.make ~id ~size:r.size ~arrival:r.arrival
-             ~departure:r.departure)
-         items)
-  in
+  (* An item already numbered by its index that [Item.make] would
+     accept is kept as it is; any other is re-made, which renumbers it
+     or raises [Item.make]'s error. *)
+  Array.iteri
+    (fun id (r : Item.t) ->
+      if
+        r.id <> id
+        || Rat.sign r.size <= 0
+        || Rat.(r.departure <= r.arrival)
+      then
+        items.(id) <-
+          Item.make ~id ~size:r.size ~arrival:r.arrival ~departure:r.departure)
+    items;
   { items; capacity }
+
+let create ~capacity items = of_array ~capacity (Array.of_list items)
 
 let items t = t.items
 let capacity t = t.capacity

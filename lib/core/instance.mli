@@ -15,6 +15,11 @@ val create : capacity:Rat.t -> Item.t list -> t
     @raise Invalid_argument if [capacity <= 0], the list is empty, or
     some item has [size > capacity] (it could never be packed). *)
 
+val of_array : capacity:Rat.t -> Item.t array -> t
+(** [create] on an array, without a list: the instance takes the array
+    over and renumbers it in place, so the caller must not use it
+    again.  Makes every check [create] makes, in the same order. *)
+
 val items : t -> Item.t array
 val capacity : t -> Rat.t
 val size : t -> int

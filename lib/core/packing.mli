@@ -47,6 +47,17 @@ val validate : t -> (unit, string) result
     within its bin's usage period; no bin ever exceeds capacity; the
     timeline matches the bins' usage periods; the total cost equals
     both the timeline integral and the sum of usage period lengths.
-    Used by the test suite on every packing it produces. *)
+    Used by the test suite on every packing it produces, and by
+    [dbp simulate] on every run.
+
+    It shares no code with the engine (no [Fixed], no engine module):
+    one mark array finds each item in its bin's list; each bin's level
+    is replayed in exact rationals on one reused scratch array, sorted
+    by time with departures first; the open and close times, sorted as
+    two arrays (the open times only when they are not in order
+    already), are walked against the timeline's breakpoints.  The
+    checks run in that order and the first failure is the result; when
+    several bins exceed their capacity, the last one in [bins] is
+    named. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -855,9 +855,12 @@ module Online = struct
      lifecycle times: usage periods sum as plain ints, and the
      timeline's breakpoints come from a radix sort of
      [(time_s << 1) | close-bit] keys instead of a rational comparison
-     sort.  Every value converts exactly, so the results are
-     bit-identical to [Exact_engine.timeline_and_cost]; [None]
-     (negative times or an overflowing sum) sends the caller there. *)
+     sort.  The keys are read back to front: the count is 0 from the
+     last time on, and a time whose opens and closes cancel leaves no
+     breakpoint, so the list is built canonical and in order.  Every
+     value converts exactly, so the results are bit-identical to
+     [Exact_engine.timeline_and_cost]; [None] (negative times or an
+     overflowing sum) sends the caller there. *)
   let fast_timeline_and_cost f =
     let m = f.fb_len in
     if m = 0 then Some (Step_fn.empty, Rat.zero)
@@ -877,23 +880,20 @@ module Online = struct
       | exception Fixed.Overflow -> None
       | () ->
           let keys = radix_sort_pos keys in
-          let n2 = Array.length keys in
           let points = ref [] in
           let v = ref 0 in
-          let i = ref 0 in
-          while !i < n2 do
+          let i = ref (Array.length keys - 1) in
+          while !i >= 0 do
             let time = keys.(!i) lsr 1 in
             let d = ref 0 in
-            while !i < n2 && keys.(!i) lsr 1 = time do
+            while !i >= 0 && keys.(!i) lsr 1 = time do
               d := !d + (if keys.(!i) land 1 = 0 then 1 else -1);
-              incr i
+              decr i
             done;
-            v := !v + !d;
-            points := (Fixed.to_rat f.g time, !v) :: !points
+            if !d <> 0 then points := (Fixed.to_rat f.g time, !v) :: !points;
+            v := !v - !d
           done;
-          Some
-            ( Step_fn.of_breakpoints (List.rev !points),
-              Fixed.to_rat f.g !total )
+          Some (Step_fn.of_breakpoints !points, Fixed.to_rat f.g !total)
     end
 
   let timeline_and_cost_of_records =

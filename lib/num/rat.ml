@@ -70,7 +70,17 @@ let inv x =
   else { num = x.den; den = x.num }
 
 let div x y = mul x (inv y)
-let mul_int x n = mul x (of_int n)
+(* [mul x (of_int n)] without its final gcd: with [g = gcd n x.den],
+   [x.num * (n / g)] and [x.den / g] are already coprime, so the value
+   and every [Overflow] are those of the general product. *)
+let mul_int x n =
+  if n = min_int then raise Overflow
+  else
+    let g = gcd n x.den in
+    let num = mul_exn x.num (n / g) in
+    if num = 0 then zero
+    else if num = min_int then raise Overflow
+    else { num; den = x.den / g }
 let div_int x n = div x (of_int n)
 let sum l = List.fold_left add zero l
 
@@ -147,22 +157,25 @@ let to_string x =
   if Stdlib.( = ) x.den 1 then string_of_int x.num
   else Printf.sprintf "%d/%d" x.num x.den
 
+(* One part of [s] as [int_of_string] reads it.  [min_int] is refused
+   like a malformed part: [make] and [of_int] would raise [Overflow]. *)
+let part_of_string s part =
+  match int_of_string_opt (String.trim part) with
+  | Some n when not (Int.equal n min_int) -> n
+  | _ -> failwith ("Rat.of_string: " ^ s)
+
 let of_string s =
   match String.index_opt s '/' with
-  | None -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n -> of_int n
-      | None -> failwith ("Rat.of_string: " ^ s))
-  | Some i -> (
-      let n = String.trim (String.sub s 0 i) in
+  | None -> of_int (part_of_string s s)
+  | Some i ->
+      let n = part_of_string s (String.sub s 0 i) in
       let d =
-        String.trim
+        part_of_string s
           (String.sub s (Stdlib.( + ) i 1)
              (Stdlib.( - ) (String.length s) (Stdlib.( + ) i 1)))
       in
-      match (int_of_string_opt n, int_of_string_opt d) with
-      | Some n, Some d -> make n d
-      | _ -> failwith ("Rat.of_string: " ^ s))
+      (* a zero denominator is malformed too, not [Division_by_zero] *)
+      if Int.equal d 0 then failwith ("Rat.of_string: " ^ s) else make n d
 
 let pp fmt x = Format.pp_print_string fmt (to_string x)
 let pp_float fmt x = Format.fprintf fmt "%.6g" (to_float x)

@@ -95,8 +95,11 @@ val to_string : t -> string
 (** ["7/2"], or ["7"] when the denominator is 1. *)
 
 val of_string : string -> t
-(** Parses the {!to_string} format as well as plain integers.
-    @raise Failure on malformed input. *)
+(** Parses the {!to_string} format as well as plain integers (each
+    part as [int_of_string] reads it, surrounding blanks allowed).
+    @raise Failure on malformed input, which includes a zero
+    denominator and a part equal to [min_int]: no [Division_by_zero]
+    or {!Overflow} escapes. *)
 
 val pp : Format.formatter -> t -> unit
 val pp_float : Format.formatter -> t -> unit

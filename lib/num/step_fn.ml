@@ -15,43 +15,43 @@ let canonicalise points =
   in
   dedup 0 points
 
+(* One pass checks the order, the final value and whether the input
+   is canonical already (values change at every point, starting from
+   0); only a non-canonical input is copied. *)
 let of_breakpoints points =
-  let rec check_sorted = function
-    | (t1, _) :: ((t2, _) :: _ as rest) ->
+  let rec check prev canonical = function
+    | (t1, v) :: ((t2, _) :: _ as rest) ->
         if Rat.(t2 <= t1) then
-          invalid_arg "Step_fn.of_breakpoints: unsorted breakpoints"
-        else check_sorted rest
-    | _ -> ()
+          invalid_arg "Step_fn.of_breakpoints: unsorted breakpoints";
+        check v (canonical && v <> prev) rest
+    | [ (_, v) ] ->
+        if v <> 0 then
+          invalid_arg "Step_fn.of_breakpoints: final value must be 0";
+        canonical && v <> prev
+    | [] -> true
   in
-  check_sorted points;
-  (match List.rev points with
-  | (_, v) :: _ when v <> 0 ->
-      invalid_arg "Step_fn.of_breakpoints: final value must be 0"
-  | _ -> ());
-  canonicalise points
+  if check 0 true points then points else canonicalise points
 
+(* Sorts the events as an array, then walks it back to front: the value
+   from the last time on is 0, each run of equal times changes it by
+   its summed delta, and a run that sums to 0 leaves no breakpoint, so
+   the list comes out canonical with no reversal. *)
 let of_deltas events =
-  let sorted =
-    List.sort (fun (t1, _) (t2, _) -> Rat.compare t1 t2) events
-  in
-  (* Merge deltas at equal times, then prefix-sum. *)
-  let rec merge = function
-    | (t1, d1) :: (t2, d2) :: rest when Rat.equal t1 t2 ->
-        merge ((t1, d1 + d2) :: rest)
-    | pt :: rest -> pt :: merge rest
-    | [] -> []
-  in
-  let merged = merge sorted in
-  let acc = ref 0 in
-  let points =
-    List.map
-      (fun (t, d) ->
-        acc := !acc + d;
-        (t, !acc))
-      merged
-  in
-  if !acc <> 0 then invalid_arg "Step_fn.of_deltas: deltas do not cancel"
-  else canonicalise points
+  let a = Array.of_list events in
+  Array.stable_sort (fun (t1, _) (t2, _) -> Rat.compare t1 t2) a;
+  if Array.fold_left (fun acc (_, d) -> acc + d) 0 a <> 0 then
+    invalid_arg "Step_fn.of_deltas: deltas do not cancel";
+  let points = ref [] and v = ref 0 and i = ref (Array.length a - 1) in
+  while !i >= 0 do
+    let time = fst a.(!i) and d = ref 0 in
+    while !i >= 0 && Rat.equal (fst a.(!i)) time do
+      d := !d + snd a.(!i);
+      decr i
+    done;
+    if !d <> 0 then points := (time, !v) :: !points;
+    v := !v - !d
+  done;
+  !points
 
 let value_at t time =
   let rec go value = function
@@ -81,10 +81,13 @@ let integral_pieces t ~clip =
   in
   go [] t
 
-let integral t =
-  integral_pieces t ~clip:None
-  |> List.map (fun (v, len) -> Rat.mul_int len v)
-  |> Rat.sum
+(* Sums the pieces last first.  The value does not depend on the
+   order, but where a [Rat.Overflow] can occur does, and
+   test/reference.ml holds this sum to that order. *)
+let rec integral = function
+  | (t1, v) :: ((t2, _) :: _ as rest) ->
+      Rat.add (integral rest) (Rat.mul_int (Rat.sub t2 t1) v)
+  | _ -> Rat.zero
 
 let integral_over t iv =
   integral_pieces t ~clip:(Some iv)

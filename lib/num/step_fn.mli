@@ -17,20 +17,27 @@ val of_breakpoints : (Rat.t * int) list -> t
 (** [of_breakpoints [(t0, v0); (t1, v1); ...]] is the function equal to
     [v0] on [[t0, t1)), [v1] on [[t1, t2)), ..., and [0] before [t0] and
     from the last breakpoint on (the last value must be 0).
-    Breakpoints must be strictly increasing in time.
+    Breakpoints must be strictly increasing in time.  One pass over
+    the list, which is returned as it is when it is canonical already
+    (no two consecutive equal values, first value non-zero); only a
+    non-canonical list is copied.
     @raise Invalid_argument on unsorted input or nonzero final value. *)
 
 val of_deltas : (Rat.t * int) list -> t
 (** [of_deltas events] builds the function whose value jumps by the
     given signed amount at each time.  Events need not be sorted;
     deltas at equal times are merged.  The deltas must globally cancel
-    (the function returns to 0). *)
+    (the function returns to 0).  Costs one array of the events and
+    its sort, O(n log n) comparisons, and the breakpoint list itself.
+    @raise Invalid_argument when the deltas do not cancel. *)
 
 val value_at : t -> Rat.t -> int
 (** Right-continuous evaluation: the value on [[t, t + dt)). *)
 
 val integral : t -> Rat.t
-(** Exact integral over the whole support. *)
+(** Exact integral over the whole support: one rational subtraction,
+    product and sum per piece, with no other allocation, summed last
+    piece first. *)
 
 val integral_over : t -> Interval.t -> Rat.t
 (** Exact integral restricted to an interval. *)

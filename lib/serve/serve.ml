@@ -492,6 +492,11 @@ let set_nonblock fd =
 
 (* ---- signals --------------------------------------------------------- *)
 
+let ignore_sigpipe () =
+  match Sys.set_signal Sys.sigpipe Sys.Signal_ignore with
+  | () -> ()
+  | exception (Invalid_argument _ | Sys_error _) -> ()
+
 let install_sigterm () =
   let flag = ref false in
   let arm s =
@@ -501,9 +506,7 @@ let install_sigterm () =
   in
   arm Sys.sigterm;
   arm Sys.sigint;
-  (match Sys.set_signal Sys.sigpipe Sys.Signal_ignore with
-  | () -> ()
-  | exception (Invalid_argument _ | Sys_error _) -> ());
+  ignore_sigpipe ();
   fun () -> !flag
 
 (* ---- one NDJSON session over a pair of descriptors ------------------- *)
@@ -707,7 +710,11 @@ let depart_wire ~seq ~time ~item =
 
 (* Drive a generated event stream through a connected daemon, duplex:
    keep the output queue topped up from [next_line] while draining
-   placement lines into [on_line].  Returns the summary line. *)
+   placement lines into [on_line].  Returns the summary line.  A
+   daemon that rejects the stream sends one error line and closes, so
+   a hang-up (EPIPE or ECONNRESET, with SIGPIPE ignored) stops the
+   writing only: the reading goes on to the end of the stream, and the
+   daemon's error line, when one came, is the error returned. *)
 let pump fd ~next_line ~on_line =
   set_nonblock fd;
   let outq = Outbuf.create () in
@@ -715,6 +722,7 @@ let pump fd ~next_line ~on_line =
   let partial = Buffer.create 256 in
   let summary = ref None in
   let failure = ref None in
+  let hung_up = ref None in
   let sent_all = ref false in
   let eof = ref false in
   let handle_line l =
@@ -755,18 +763,34 @@ let pump fd ~next_line ~on_line =
     in
     go ()
   in
+  let end_of_stream () =
+    handle_line (Buffer.contents partial);
+    Buffer.clear partial;
+    eof := true
+  in
   let rec loop () =
     match !failure with
     | Some _ -> ()
     | None ->
         if !eof then ()
         else begin
-          top_up ();
-          let wr = if Outbuf.is_empty outq then [] else [ fd ] in
+          if Option.is_none !hung_up then top_up ();
+          let wr =
+            if Option.is_some !hung_up || Outbuf.is_empty outq then []
+            else [ fd ]
+          in
           (match Unix.select [ fd ] wr [] 1.0 with
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
           | rs, ws, _ -> (
-              (match ws with [] -> () | _ -> Outbuf.write_some outq fd);
+              (match ws with
+              | [] -> ()
+              | _ -> (
+                  match Outbuf.write_some outq fd with
+                  | () -> ()
+                  | exception
+                      Unix.Unix_error
+                        (((Unix.EPIPE | Unix.ECONNRESET) as e), _, _) ->
+                      hung_up := Some e));
               match rs with
               | [] -> ()
               | _ -> (
@@ -777,10 +801,11 @@ let pump fd ~next_line ~on_line =
                           _,
                           _ ) ->
                       ()
-                  | 0 ->
-                      handle_line (Buffer.contents partial);
-                      Buffer.clear partial;
-                      eof := true
+                  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
+                      if Option.is_none !hung_up then
+                        hung_up := Some Unix.ECONNRESET;
+                      end_of_stream ()
+                  | 0 -> end_of_stream ()
                   | n -> consume n)));
           loop ()
         end
@@ -789,10 +814,11 @@ let pump fd ~next_line ~on_line =
   | () -> ()
   | exception Unix.Unix_error (e, _, _) ->
       failure := Some ("client: " ^ Unix.error_message e));
-  match (!failure, !summary) with
-  | Some e, _ -> Error e
-  | None, Some s -> Ok s
-  | None, None -> Error "stream ended without a summary"
+  match (!failure, !summary, !hung_up) with
+  | Some e, _, _ -> Error e
+  | None, Some s, _ -> Ok s
+  | None, None, Some e -> Error ("client: " ^ Unix.error_message e)
+  | None, None, None -> Error "stream ended without a summary"
 
 let replay_client ?(echo = fun _ -> ()) fd instance =
   let events = Event.sorted_array_of_instance instance in

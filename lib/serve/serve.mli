@@ -155,6 +155,10 @@ module Fleet : sig
       returns the paths written. *)
 end
 
+val ignore_sigpipe : unit -> unit
+(** Ignores SIGPIPE, so a peer's hang-up surfaces as [EPIPE] from the
+    write instead of killing the process. *)
+
 val install_sigterm : unit -> unit -> bool
 (** Installs SIGTERM/SIGINT handlers; the returned thunk reports
     whether a signal has arrived.  Also ignores SIGPIPE so a client
@@ -201,7 +205,10 @@ val replay_client :
   (string, string) result
 (** Stream an instance's canonical event order to a connected serve
     daemon, draining placements concurrently ([echo] sees every
-    placement line); returns the daemon's summary line. *)
+    placement line); returns the daemon's summary line.  When the
+    daemon rejects the stream, the error is its error line (["daemon:
+    ..."]), even if it closed while the stream was still being sent;
+    call {!ignore_sigpipe} first, or that write kills the process. *)
 
 val replay :
   config ->

@@ -5,10 +5,21 @@
     rational fields ([3/10] style), in submission order.  Round-trips
     losslessly.
 
-    Parsing never raises a bare [Failure]: every malformed input maps
-    to a {!Parse_error} carrying the 1-based line number and, where it
-    applies, the offending field — so the CLI can print a readable
-    diagnostic instead of a backtrace. *)
+    Parsing never raises a bare [Failure], [Division_by_zero] or
+    [Rat.Overflow]: every malformed input, a zero denominator and
+    [min_int] included, maps to a {!Parse_error} carrying the 1-based
+    line number and, where it applies, the offending field — so the
+    CLI can print a readable diagnostic instead of a backtrace.
+
+    {!of_string} scans the text once, by index.  A row whose four
+    fields are plain decimals ([n] or [n/d], each part an optional
+    ['-'] and at most 18 digits, so it cannot overflow) goes straight
+    from the bytes into the item array.  Every other row, and every
+    row that fails a check, goes to the one row parser, which reads
+    every syntax [int_of_string] accepts ([+5], [0x1F], [1_000],
+    blanks around a field) and is the only code that reports a row
+    error.  Ids are checked against an int array once every row has
+    parsed, and each item is placed at its id. *)
 
 open Dbp_core
 

@@ -25,6 +25,7 @@ let () =
       ("clairvoyant", Test_clairvoyant.suite);
       ("fleet", Test_fleet.suite);
       ("validation", Test_validation.suite);
+      ("oracles", Test_oracles.suite);
       ("obs", Test_obs.suite);
       ("checkpoint", Test_checkpoint.suite);
       ("repack", Test_repack.suite);

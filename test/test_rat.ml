@@ -56,7 +56,14 @@ let test_strings () =
   check_rat "of_string int" (ri (-3)) (Rat.of_string "-3");
   check_rat "of_string spaces" (r 1 2) (Rat.of_string " 1 / 2 ");
   Alcotest.check_raises "of_string garbage" (Failure "Rat.of_string: x") (fun () ->
-      ignore (Rat.of_string "x"))
+      ignore (Rat.of_string "x"));
+  (* [make] and [of_int] would raise Division_by_zero and Overflow on
+     these; the parser reports them as malformed input. *)
+  List.iter
+    (fun s ->
+      Alcotest.check_raises ("of_string " ^ s) (Failure ("Rat.of_string: " ^ s))
+        (fun () -> ignore (Rat.of_string s)))
+    [ "1/0"; "-4611686018427387904"; "1/-4611686018427387904"; "0x4000000000000000" ]
 
 let test_of_float () =
   check_rat "of_float 0.5" (r 1 2) (Rat.of_float 0.5);
@@ -151,3 +158,25 @@ let test_compare_huge () =
 
 let suite =
   suite @ [ Alcotest.test_case "compare beyond 63 bits" `Quick test_compare_huge ]
+
+(* Huge factors reach the overflow edge: both sides must raise, or
+   agree exactly. *)
+let prop_mul_int =
+  let open QCheck2 in
+  qcheck "mul_int = mul by of_int"
+    (Gen.pair
+       (Gen.oneof
+          [ rat_gen (); rat_gen ~lo_num:(-max_int) ~hi_num:max_int ~max_den:max_int () ])
+       (Gen.oneof [ Gen.int_range (-20) 20; Gen.int; Gen.return min_int ]))
+    (fun (a, n) ->
+      let product f =
+        match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+      in
+      match
+        (product (fun () -> Rat.mul_int a n), product (fun () -> Rat.mul a (Rat.of_int n)))
+      with
+      | Ok x, Ok y -> Rat.equal x y && Rat.num x = Rat.num y && Rat.den x = Rat.den y
+      | Error e, Error f -> String.equal e f
+      | _ -> false)
+
+let suite = suite @ [ prop_mul_int ]

@@ -746,6 +746,63 @@ let test_listener_outlives_bad_clients () =
         su.Serve.su_departures
   | Error e -> Alcotest.failf "daemon stopped: %s" e
 
+(* A second replay of the same trace is rejected at its first event
+   (it precedes the fleet clock), and the daemon closes while the
+   client is still sending: the client must report the daemon's error
+   line, not its own broken pipe. *)
+let test_replay_rejected_names_daemon_error () =
+  Serve.ignore_sigpipe ();
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "dbp-serve-replay-%d.sock" (Unix.getpid ()))
+  in
+  if Sys.file_exists path then Sys.remove path;
+  let lfd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX path);
+  Unix.listen lfd 4;
+  let stop = Atomic.make false in
+  let cfg = { (Serve.default_config ()) with Serve.grid_den = Some 10000 } in
+  let join =
+    Shard_pool.spawn_background (fun () ->
+        Serve.run_listener cfg ~should_stop:(fun () -> Atomic.get stop) lfd)
+  in
+  let instance =
+    Dbp_workload.Generator.generate ~seed:42L
+      { Dbp_workload.Spec.default with Dbp_workload.Spec.count = 20_000 }
+  in
+  let replay () =
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Unix.connect fd (Unix.ADDR_UNIX path);
+        Serve.replay_client fd instance)
+  in
+  (* The daemon stops and its socket goes even when a check fails. *)
+  let daemon = ref (Ok ()) in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      daemon := Result.map ignore (join ());
+      Unix.close lfd;
+      Sys.remove path)
+    (fun () ->
+      (match replay () with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "first replay failed: %s" e);
+      for attempt = 1 to 10 do
+        match replay () with
+        | Ok _ -> Alcotest.failf "replay %d of an old stream succeeded" attempt
+        | Error e ->
+            if not (contains ~sub:"precedes the stream clock" e) then
+              Alcotest.failf "replay %d: want the daemon's error, got %S"
+                attempt e
+      done);
+  match !daemon with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "daemon stopped: %s" e
+
 let suite =
   [
     Alcotest.test_case "shard pool FIFO per shard" `Quick
@@ -782,4 +839,6 @@ let suite =
       test_listener_outlives_bad_clients;
     prop_one_shard_cost;
     prop_shard_costs_sum;
+    Alcotest.test_case "rejected replay names the daemon's error" `Quick
+      test_replay_rejected_names_daemon_error;
   ]
