@@ -177,6 +177,37 @@ let of_string s =
       (* a zero denominator is malformed too, not [Division_by_zero] *)
       if Int.equal d 0 then failwith ("Rat.of_string: " ^ s) else make n d
 
+exception Not_plain
+
+let plain_int s a b =
+  if a < 0 || b > String.length s then invalid_arg "Rat.plain_int";
+  let neg = a < b && Char.equal (String.unsafe_get s a) '-' in
+  let a = if neg then a + 1 else a in
+  if a >= b || b - a > 18 then raise_notrace Not_plain;
+  let v = ref 0 in
+  for i = a to b - 1 do
+    let d = Char.code (String.unsafe_get s i) - 48 in
+    if d < 0 || d > 9 then raise_notrace Not_plain;
+    v := (!v * 10) + d
+  done;
+  if neg then - !v else !v
+
+(* The index of the first '/' in [s.[i .. b-1]], or [b]. *)
+let rec find_slash s i b =
+  if i >= b || Char.equal (String.unsafe_get s i) '/' then i
+  else find_slash s (i + 1) b
+
+(* 18 digits stay below [max_int], so no part overflows or is
+   [min_int], and [make] and [of_int] raise nothing here. *)
+let of_plain s a b =
+  if a < 0 || b > String.length s then invalid_arg "Rat.of_plain";
+  let slash = find_slash s a b in
+  if Int.equal slash b then of_int (plain_int s a b)
+  else
+    let d = plain_int s (slash + 1) b in
+    if Int.equal d 0 then raise_notrace Not_plain;
+    make (plain_int s a slash) d
+
 let pp fmt x = Format.pp_print_string fmt (to_string x)
 let pp_float fmt x = Format.fprintf fmt "%.6g" (to_float x)
 (* Typed splitmix-style mixer over the two int fields: avoids the

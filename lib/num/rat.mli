@@ -101,6 +101,27 @@ val of_string : string -> t
     denominator and a part equal to [min_int]: no [Division_by_zero]
     or {!Overflow} escapes. *)
 
+exception Not_plain
+(** Raised, without a backtrace, by {!plain_int} and {!of_plain} on
+    any numeral they do not read. *)
+
+val plain_int : string -> int -> int -> int
+(** [plain_int s a b] reads [s.[a .. b-1]] in place as a plain
+    integer: an optional ['-'] and 1 to 18 decimal digits, nothing
+    else.  Such a numeral never overflows, and it means what
+    [int_of_string] makes of it.
+    @raise Not_plain on any other bytes (['+'], ["0x"], ['_'], blanks,
+    19 or more digits).
+    @raise Invalid_argument if [a < 0] or [b > String.length s]. *)
+
+val of_plain : string -> int -> int -> t
+(** [of_plain s a b] reads [s.[a .. b-1]] in place as [n] or [n/d]
+    with {!plain_int} parts and [d <> 0].  Whenever it returns, the
+    value equals [of_string (String.sub s a (b - a))].  It allocates
+    only the result.
+    @raise Not_plain on any other bytes, a zero denominator included.
+    @raise Invalid_argument if [a < 0] or [b > String.length s]. *)
+
 val pp : Format.formatter -> t -> unit
 val pp_float : Format.formatter -> t -> unit
 (** Prints a 6-decimal floating approximation, for human-facing tables. *)

@@ -198,6 +198,16 @@ val run_listener :
     client is accepted.  Returns at SIGTERM (flushing checkpoints);
     an engine or shard-pool failure returns [Error]. *)
 
+val arrive_wire : seq:int -> time:string -> item:int -> size:string -> string
+(** The arrival line a client sends (no newline): the [dbp-trace/2]
+    [arrive] event, [time] and [size] in {!Dbp_num.Rat.to_string}
+    form. *)
+
+val depart_wire : seq:int -> time:string -> item:int -> string
+(** The departure line a client sends (no newline): a [depart] event
+    with the conventional [bin] [-1] and [held] ["0"], since a client
+    knows neither and the daemon ignores both. *)
+
 val replay_client :
   ?echo:(string -> unit) ->
   Unix.file_descr ->

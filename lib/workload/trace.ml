@@ -93,57 +93,30 @@ let parse_row ~capacity ~line text =
 
 (* ---- the in-place scanner --------------------------------------------- *)
 
-(* Raised by the scanner on any row it does not accept, which then goes
-   to [parse_row]: the scanner reports no error of its own. *)
-exception Not_plain
-
 (* The index of the first [c] in [text.[i .. stop-1]], or [stop]. *)
 let rec find text c i stop =
   if i >= stop || Char.equal (String.unsafe_get text i) c then i
   else find text c (i + 1) stop
 
-(* [text.[a .. b-1]] as an optional '-' and 1 to 18 decimal digits:
-   the numerals that cannot overflow, read without a copy. *)
-let plain_int text a b =
-  let neg = a < b && Char.equal (String.unsafe_get text a) '-' in
-  let a = if neg then a + 1 else a in
-  if a >= b || b - a > 18 then raise_notrace Not_plain;
-  let v = ref 0 in
-  for i = a to b - 1 do
-    let d = Char.code (String.unsafe_get text i) - 48 in
-    if d < 0 || d > 9 then raise_notrace Not_plain;
-    v := (!v * 10) + d
-  done;
-  if neg then - !v else !v
-
-(* [n] or [n/d] with plain parts and [d <> 0]: the value
-   [Rat.of_string] gives the same bytes. *)
-let plain_rat text a b =
-  let slash = find text '/' a b in
-  if slash = b then Rat.of_int (plain_int text a b)
-  else
-    let d = plain_int text (slash + 1) b in
-    if d = 0 then raise_notrace Not_plain;
-    Rat.make (plain_int text a slash) d
-
-(* The row [text.[s .. e-1]] when all four fields are plain and it
-   passes every check [parse_row] makes.  Such a row holds only digits,
-   '-', '/' and ',', so [parse_row] would read it the same way. *)
+(* The row [text.[s .. e-1]] when all four fields are plain numerals
+   ({!Rat.of_plain}) and it passes every check [parse_row] makes, or
+   [Rat.Not_plain].  Such a row holds only digits, '-', '/' and ',', so
+   [parse_row] would read it the same way. *)
 let plain_row ~capacity text s e =
   let c1 = find text ',' s e in
   let c2 = find text ',' (c1 + 1) e in
   let c3 = find text ',' (c2 + 1) e in
-  if c3 >= e then raise_notrace Not_plain;
-  let id = plain_int text s c1 in
-  let size = plain_rat text (c1 + 1) c2 in
-  let arrival = plain_rat text (c2 + 1) c3 in
-  let departure = plain_rat text (c3 + 1) e in
+  if c3 >= e then raise_notrace Rat.Not_plain;
+  let id = Rat.plain_int text s c1 in
+  let size = Rat.of_plain text (c1 + 1) c2 in
+  let arrival = Rat.of_plain text (c2 + 1) c3 in
+  let departure = Rat.of_plain text (c3 + 1) e in
   if
     id < 0
     || Rat.sign size <= 0
     || Rat.(size > capacity)
     || Rat.(departure <= arrival)
-  then raise_notrace Not_plain;
+  then raise_notrace Rat.Not_plain;
   Item.make ~id ~size ~arrival ~departure
 
 (* Fills the slots of an array before every item is placed. *)
@@ -197,7 +170,7 @@ let of_string text =
         rows.(!n) <- item;
         row_line.(!n) <- !line;
         incr n
-    | exception Not_plain -> (
+    | exception Rat.Not_plain -> (
         match String.trim (String.sub text !pos (e - !pos)) with
         | "" -> ()
         | l ->

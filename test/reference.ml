@@ -2,8 +2,10 @@
    validator and step-function constructors that the in-place CSV
    scanner, the array-based [Packing.validate] and the array-based
    [Step_fn] replaced, kept verbatim (over breakpoint lists where
-   [Step_fn.t] is abstract) as oracles for them.  The parser copy runs
-   on today's [Rat.of_string], which reports a zero denominator and
+   [Step_fn.t] is abstract) as oracles for them, and the NDJSON feed
+   that sent every line through [Trace_event.of_ndjson] before the
+   feed scanned the serve wire in place.  The parser copy runs on
+   today's [Rat.of_string], which reports a zero denominator and
    [min_int] as [Failure]. *)
 
 open Dbp_num
@@ -294,3 +296,115 @@ let validate (t : Packing.t) =
     fail "max_bins %d <> timeline max %d" t.max_bins
       (Step_fn.max_value t.timeline)
   else Ok ()
+
+(* ---- the NDJSON feed -------------------------------------------------- *)
+
+module Feed = struct
+  module TE = Dbp_obs.Trace_event
+
+  type t = {
+    partial : Buffer.t;  (* bytes of the current unterminated line *)
+    mutable next_seq : int;
+    mutable prev_time : Rat.t option;
+    mutable lines : int;  (* non-blank lines committed so far *)
+    mutable line_start : int;  (* absolute offset of the current line *)
+    mutable total : int;  (* absolute bytes fed so far *)
+    mutable failed : TE.stream_error option;
+  }
+
+  let create ?(seq_start = 0) () =
+    {
+      partial = Buffer.create 256;
+      next_seq = seq_start;
+      prev_time = None;
+      lines = 0;
+      line_start = 0;
+      total = 0;
+      failed = None;
+    }
+
+  let bytes_consumed t = t.line_start
+  let next_seq t = t.next_seq
+
+  let fail t message =
+    let e = { TE.line = t.lines + 1; byte = t.line_start; message } in
+    t.failed <- Some e;
+    Error e
+
+  let commit t raw acc =
+    let raw =
+      let n = String.length raw in
+      if n > 0 && raw.[n - 1] = '\r' then String.sub raw 0 (n - 1) else raw
+    in
+    if raw = "" then Ok acc
+    else
+      match TE.of_ndjson raw with
+      | Error msg -> fail t msg
+      | Ok (ev : TE.t) ->
+          if ev.seq <> t.next_seq then
+            fail t
+              (Printf.sprintf "sequence number %d, expected %d" ev.seq
+                 t.next_seq)
+          else if
+            match t.prev_time with
+            | Some p -> Rat.(ev.time < p)
+            | None -> false
+          then
+            fail t
+              (Printf.sprintf "time %s precedes the previous event"
+                 (Rat.to_string ev.time))
+          else begin
+            t.lines <- t.lines + 1;
+            t.next_seq <- ev.seq + 1;
+            t.prev_time <- Some ev.time;
+            Ok (ev :: acc)
+          end
+
+  let feed t ?(off = 0) ?len s =
+    match t.failed with
+    | Some e -> Error e
+    | None ->
+        let len =
+          match len with Some l -> l | None -> String.length s - off
+        in
+        if off < 0 || len < 0 || off + len > String.length s then
+          invalid_arg "Trace_event.Feed.feed";
+        let stop = off + len in
+        (* The absolute stream offset of [s.[x]] is [base + x]. *)
+        let base = t.total - off in
+        let rec go i acc =
+          if i >= stop then Ok (List.rev acc)
+          else
+            match String.index_from_opt s i '\n' with
+            | Some j when j < stop -> (
+                Buffer.add_substring t.partial s i (j - i);
+                let raw = Buffer.contents t.partial in
+                Buffer.clear t.partial;
+                match commit t raw acc with
+                | Error e -> Error e
+                | Ok acc ->
+                    t.line_start <- base + j + 1;
+                    go (j + 1) acc)
+            | Some _ | None ->
+                Buffer.add_substring t.partial s i (stop - i);
+                Ok (List.rev acc)
+        in
+        let r = go off [] in
+        t.total <- t.total + len;
+        r
+
+  let close t =
+    match t.failed with
+    | Some e -> Error e
+    | None ->
+        if Buffer.length t.partial = 0 then Ok []
+        else begin
+          let raw = Buffer.contents t.partial in
+          Buffer.clear t.partial;
+          match commit t raw [] with
+          | Error e -> Error e
+          | Ok acc ->
+              t.line_start <- t.total;
+              Ok (List.rev acc)
+        end
+end

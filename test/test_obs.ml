@@ -56,7 +56,12 @@ let test_ndjson_rejects_malformed () =
       match Trace_event.of_ndjson line with
       | Ok _ -> Alcotest.failf "accepted malformed line: %s" line
       | Error _ -> ())
-    bad
+    bad;
+  (* [\u] takes exactly four hex digits: no '_' *)
+  match Trace_event.of_ndjson {|{"seq":0,"t":"\u0_31","kind":"shed","item":0}|} with
+  | Ok _ -> Alcotest.fail "accepted \\u0_31"
+  | Error msg ->
+      Alcotest.(check string) "escape message" {|unsupported \u escape '\u0_31'|} msg
 
 let test_parse_all_sequencing () =
   let ev seq time kind = { Trace_event.seq; time; kind } in

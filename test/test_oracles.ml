@@ -1,7 +1,8 @@
-(* The in-place CSV scanner, the array-based packing validator and the
-   array-based step-function constructors against the list-based code
-   they replaced ([Reference]): on mutated traces, corrupted packings
-   and random event lists, both must give the same result, the same
+(* The in-place CSV scanner, the array-based packing validator, the
+   array-based step-function constructors and the NDJSON feed's
+   in-place scanner against the code they replaced ([Reference]): on
+   mutated traces, corrupted packings, random event lists and mutated,
+   fragmented NDJSON streams, both must give the same result, the same
    error record or message, or raise the same exception. *)
 
 open Dbp_num
@@ -396,10 +397,349 @@ let prop_step_fn_matches_reference =
            (show_outcome show_points got) (show_outcome show_points want)
            (show_outcome show_points built) (show_outcome show_points built_ref))
 
+(* ---- the NDJSON feed ------------------------------------------------- *)
+
+module TE = Dbp_obs.Trace_event
+
+(* Integers of every width the scanner reads: small, negative and
+   18-digit. *)
+let wire_int_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, int_range 0 999);
+        (1, int_range (-999) (-1));
+        (1, int_range 100_000_000_000_000_000 999_999_999_999_999_999);
+      ])
+
+let wire_rat_gen =
+  QCheck2.Gen.(
+    map2 Rat.make wire_int_gen
+      (frequency [ (4, int_range 1 12); (1, int_range 1 999_999_999_999_999_999) ]))
+
+let wire_vec_gen = QCheck2.Gen.(map Vec.make (list_size (int_range 1 3) wire_rat_gen))
+
+(* Every kind, arrivals and departures most often. *)
+let wire_kind_gen =
+  QCheck2.Gen.(
+    let i = wire_int_gen and q = wire_rat_gen and v = wire_vec_gen in
+    let tag = string_size ~gen:(oneofl [ 'a'; '"'; '\\'; '\n'; '\001'; ',' ]) (int_range 0 4) in
+    frequency
+      [
+        (6, map2 (fun item size -> TE.Arrive { item; size }) i q);
+        (6, map3 (fun item bin held -> TE.Depart { item; bin; held }) i i q);
+        (1, map3 (fun item bin level -> TE.Pack { item; bin; level; residual = level }) i i q);
+        (1, map3 (fun bin tag capacity -> TE.Bin_open { bin; tag; capacity }) i tag q);
+        (1, map3 (fun bin opened cost -> TE.Bin_close { bin; opened; cost }) i q q);
+        (1, map3 (fun bin victims lost_level -> TE.Fail_bin { bin; victims; lost_level }) i i q);
+        ( 1,
+          map3
+            (fun (item, new_item) (from_bin, to_bin) size ->
+              TE.Migrate { item; new_item; from_bin; to_bin; size })
+            (pair i i) (pair i i) q );
+        (1, map2 (fun item attempt -> TE.Retry { item; attempt }) i i);
+        (1, map (fun item -> TE.Shed { item }) i);
+        (1, map2 (fun item latency -> TE.Resume { item; latency }) i q);
+        (1, map2 (fun item sizes -> TE.Varrive { item; sizes }) i v);
+        (1, map3 (fun item bin levels -> TE.Vpack { item; bin; levels; residuals = levels }) i i v);
+        (1, map3 (fun bin tag capacities -> TE.Vbin_open { bin; tag; capacities }) i tag v);
+      ])
+
+(* A line as its keys and the raw bytes of their values. *)
+let fields_of line =
+  match TE.parse_flat_object line with
+  | Ok fields ->
+      List.map
+        (function
+          | k, TE.Int i -> (k, string_of_int i)
+          | k, TE.Str s -> (k, "\"" ^ TE.escape s ^ "\""))
+        fields
+  | Error msg -> failwith msg
+
+let render fields =
+  "{" ^ String.concat "," (List.map (fun (k, v) -> "\"" ^ k ^ "\":" ^ v) fields) ^ "}"
+
+(* The lines of a valid stream: [to_ndjson] of events of every kind and
+   the lines [Serve.arrive_wire] and [Serve.depart_wire] write, at
+   times that never go back. *)
+let wire_lines_gen =
+  QCheck2.Gen.(
+    map2
+      (fun start steps ->
+        let time = ref start in
+        List.mapi
+          (fun seq (dt, (wire, kind)) ->
+            time := Rat.add !time dt;
+            let t = Rat.to_string !time in
+            match (wire, kind) with
+            | true, TE.Arrive { item; size } ->
+                Dbp_serve.Serve.arrive_wire ~seq ~time:t ~item ~size:(Rat.to_string size)
+            | true, TE.Depart { item; _ } -> Dbp_serve.Serve.depart_wire ~seq ~time:t ~item
+            | _ -> TE.to_ndjson { TE.seq; time = !time; kind })
+          steps)
+      (rat_gen ())
+      (list_size (int_range 0 16)
+         (pair
+            (oneof [ return Rat.zero; pos_rat_gen ~hi_num:40 ~max_den:12 () ])
+            (pair bool wire_kind_gen))))
+
+type wire_numeral =
+  | Plus
+  | Hex
+  | Underscore
+  | Space
+  | Digits of int  (** that many digits *)
+  | Min_int
+  | Negate
+  | Zero_den
+  | Neg_den
+  | Double  (** [n/d] as [2n/2d] *)
+
+type edit =
+  | Swap of int * int
+  | Dup of int
+  | Drop of int
+  | Unknown of int
+  | Numeral of int * wire_numeral
+  | Escape of int * string  (** prefix a string value *)
+  | Pad of int  (** blanks around a value *)
+  | Seq of int  (** moved by that much *)
+  | Time_back
+  | Trail of string  (** after the closing brace *)
+  | Crlf
+  | Blank_before
+
+let rewrite_numeral numeral v =
+  let n = String.length v in
+  let quoted = n >= 2 && v.[0] = '"' in
+  let body = if quoted then String.sub v 1 (n - 2) else v in
+  let num, den =
+    match String.index_opt body '/' with
+    | Some i -> (String.sub body 0 i, Some (String.sub body (i + 1) (String.length body - i - 1)))
+    | None -> (body, None)
+  in
+  let num =
+    match numeral with
+    | Plus -> "+" ^ num
+    | Hex -> "0x1F"
+    | Underscore -> "1_000"
+    | Space -> " " ^ num
+    | Digits k -> String.make 1 '9' ^ String.make (k - 1) '0'
+    | Min_int -> string_of_int min_int
+    | Negate -> if String.length num > 0 && num.[0] = '-' then String.sub num 1 (String.length num - 1) else "-" ^ num
+    | Zero_den | Neg_den | Double -> num
+  in
+  let body =
+    match (numeral, den) with
+    | Zero_den, _ -> num ^ "/0"
+    | Neg_den, Some d -> num ^ "/-" ^ d
+    | Neg_den, None -> num ^ "/-1"
+    | Double, _ -> (
+        match Rat.of_string body with
+        | q -> Printf.sprintf "%d/%d" (2 * Rat.num q) (2 * Rat.den q)
+        | exception Failure _ -> body)
+    | _, Some d -> num ^ "/" ^ d
+    | _, None -> num
+  in
+  if quoted then "\"" ^ body ^ "\"" else body
+
+let edit_line ~prev_time line = function
+  | Swap (a, b) ->
+      let f = Array.of_list (fields_of line) in
+      let n = Array.length f in
+      let a = a mod n and b = b mod n in
+      let fa = f.(a) in
+      f.(a) <- f.(b);
+      f.(b) <- fa;
+      render (Array.to_list f)
+  | Dup a ->
+      let f = fields_of line in
+      let a = a mod List.length f in
+      render (List.concat (List.mapi (fun i x -> if i = a then [ x; x ] else [ x ]) f))
+  | Drop a ->
+      let f = fields_of line in
+      let a = a mod List.length f in
+      render (List.filteri (fun i _ -> i <> a) f)
+  | Unknown a ->
+      let f = fields_of line in
+      let a = a mod (List.length f + 1) in
+      render (List.filteri (fun i _ -> i < a) f @ [ ("x", "1") ] @ List.filteri (fun i _ -> i >= a) f)
+  | Numeral (a, numeral) ->
+      let f = fields_of line in
+      let a = a mod List.length f in
+      render (List.mapi (fun i (k, v) -> if i = a then (k, rewrite_numeral numeral v) else (k, v)) f)
+  | Escape (a, esc) ->
+      let f = fields_of line in
+      let a = a mod List.length f in
+      render
+        (List.mapi
+           (fun i (k, v) ->
+             if i = a && String.length v >= 2 && v.[0] = '"' then
+               (k, "\"" ^ esc ^ String.sub v 1 (String.length v - 1))
+             else (k, v))
+           f)
+  | Pad a ->
+      let f = fields_of line in
+      let a = a mod List.length f in
+      render (List.mapi (fun i (k, v) -> if i = a then (k, " " ^ v ^ "\t") else (k, v)) f)
+  | Seq d ->
+      render
+        (List.map
+           (fun (k, v) -> if k = "seq" then (k, string_of_int (int_of_string v + d)) else (k, v))
+           (fields_of line))
+  | Time_back ->
+      render
+        (List.map
+           (fun (k, v) ->
+             if k = "t" then (k, "\"" ^ Rat.to_string (Rat.sub prev_time Rat.one) ^ "\"") else (k, v))
+           (fields_of line))
+  | Trail s -> line ^ s
+  | Crlf -> line ^ "\r"
+  | Blank_before -> "\n" ^ line
+
+let edit_gen =
+  QCheck2.Gen.(
+    let k = int_range 0 20 in
+    frequency
+      [
+        (1, map2 (fun a b -> Swap (a, b)) k k);
+        (1, map (fun a -> Dup a) k);
+        (1, map (fun a -> Drop a) k);
+        (1, map (fun a -> Unknown a) k);
+        ( 5,
+          map2
+            (fun a n -> Numeral (a, n))
+            k
+            (oneofl
+               [
+                 Plus; Hex; Underscore; Space; Digits 18; Digits 19; Digits 20; Min_int; Negate;
+                 Zero_den; Neg_den; Double;
+               ]) );
+        (1, map2 (fun a e -> Escape (a, e)) k (oneofl [ "\\u0031"; "\\u0_31"; "\\\""; "\\n" ]));
+        (1, map (fun a -> Pad a) k);
+        (1, map (fun d -> Seq d) (oneofl [ -1; 1; -1000 ]));
+        (1, return Time_back);
+        (1, map (fun s -> Trail s) (oneofl [ " "; "x"; "}"; "\t"; "\r\r" ]));
+        (1, return Crlf);
+        (1, return Blank_before);
+      ])
+
+type byte_edit = Flip of int * char | Insert of int * string | No_final_newline
+
+let byte_edit text = function
+  | Flip (pos, c) when String.length text > 0 ->
+      String.mapi (fun i x -> if i = pos mod String.length text then c else x) text
+  | Flip _ -> text
+  | Insert (pos, s) ->
+      let pos = pos mod (String.length text + 1) in
+      String.sub text 0 pos ^ s ^ String.sub text pos (String.length text - pos)
+  | No_final_newline ->
+      let n = String.length text in
+      if n > 0 && text.[n - 1] = '\n' then String.sub text 0 (n - 1) else text
+
+let byte_edit_gen =
+  QCheck2.Gen.(
+    let pos = int_range 0 100_000 in
+    frequency
+      [
+        ( 2,
+          map2 (fun p c -> Flip (p, c)) pos
+            (oneofl [ '0'; '9'; '-'; '/'; ','; ':'; '"'; '{'; '}'; '\\'; ' '; '\r'; '\n'; 'a' ]) );
+        (1, map2 (fun p s -> Insert (p, s)) pos (oneofl [ " "; "\t"; "\r"; "\n"; "\r\n"; "\n\n" ]));
+        (1, return No_final_newline);
+      ])
+
+(* A stream: valid lines, some edited, joined with newlines, some
+   bytes edited, and the widths of the reads that deliver it. *)
+let wire_stream_gen =
+  QCheck2.Gen.(
+    map
+      (fun (lines, (edits, byte_edits), widths) ->
+        let lines = Array.of_list lines in
+        let n = Array.length lines in
+        List.iter
+          (fun (k, e) ->
+            if n > 0 then begin
+              let k = k mod n in
+              let prev_time =
+                match TE.of_ndjson lines.(max 0 (k - 1)) with
+                | Ok ev -> ev.time
+                | Error _ -> Rat.zero
+              in
+              (* an earlier edit may have broken the line beyond [fields_of] *)
+              match edit_line ~prev_time lines.(k) e with
+              | l -> lines.(k) <- l
+              | exception (Failure _ | Invalid_argument _ | Division_by_zero) -> ()
+            end)
+          edits;
+        let text = String.concat "" (Array.to_list (Array.map (fun l -> l ^ "\n") lines)) in
+        (List.fold_left byte_edit text byte_edits, widths))
+      (triple wire_lines_gen
+         (pair
+            (frequency
+               [ (1, return []); (1, list_size (int_range 1 3) (pair (int_range 0 100) edit_gen)) ])
+            (frequency [ (2, return []); (1, list_size (int_range 1 2) byte_edit_gen) ]))
+         (list_size (int_range 1 12) (int_range 1 120))))
+
+type 'a fed = Fed of 'a | Raised of string
+
+let fed f = match f () with r -> Fed r | exception e -> Raised (Printexc.to_string e)
+
+let same_fed a b =
+  match (a, b) with
+  | Fed (Ok x), Fed (Ok y) ->
+      List.equal String.equal (List.map TE.to_ndjson x) (List.map TE.to_ndjson y)
+  | Fed (Error e), Fed (Error f) -> e = f
+  | Raised s, Raised t -> String.equal s t
+  | _ -> false
+
+let show_fed = function
+  | Fed (Ok evs) -> String.concat "\n" (List.map TE.to_ndjson evs)
+  | Fed (Error e) -> "error " ^ TE.stream_error_to_string e
+  | Raised s -> "raised " ^ s
+
+let prop_feed_matches_reference =
+  QCheck2.Test.make ~count:2000
+    ~name:"Feed = of_ndjson on every line, on mutated fragmented streams"
+    ~print:(fun (text, widths) ->
+      Printf.sprintf "%S in reads of %s" text
+        (String.concat "," (List.map string_of_int widths)))
+    wire_stream_gen
+    (fun (text, widths) ->
+      let f = TE.Feed.create () and g = Reference.Feed.create () in
+      let check what got want =
+        same_fed got want
+        && TE.Feed.bytes_consumed f = Reference.Feed.bytes_consumed g
+        && TE.Feed.next_seq f = Reference.Feed.next_seq g
+        || QCheck2.Test.fail_reportf
+             "%s@.feed: %s (consumed %d, next seq %d)@.reference: %s (consumed %d, next seq %d)"
+             what (show_fed got) (TE.Feed.bytes_consumed f) (TE.Feed.next_seq f)
+             (show_fed want)
+             (Reference.Feed.bytes_consumed g)
+             (Reference.Feed.next_seq g)
+      in
+      let n = String.length text in
+      (* Each read lands at an offset inside a larger string. *)
+      let framed = "##" ^ text ^ "##" in
+      let rec go pos = function
+        | _ when pos >= n -> true
+        | w :: rest ->
+            let w = min w (n - pos) in
+            check
+              (Printf.sprintf "read of %d bytes at %d" w pos)
+              (fed (fun () -> TE.Feed.feed f ~off:(pos + 2) ~len:w framed))
+              (fed (fun () -> Reference.Feed.feed g (String.sub text pos w)))
+            && go (pos + w) rest
+        | [] -> go pos [ n - pos ]
+      in
+      go 0 widths
+      && check "close" (fed (fun () -> TE.Feed.close f)) (fed (fun () -> Reference.Feed.close g)))
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_scanner_matches_reference;
       prop_validate_matches_reference;
       prop_step_fn_matches_reference;
+      prop_feed_matches_reference;
     ]

@@ -179,4 +179,45 @@ let prop_mul_int =
       | Error e, Error f -> String.equal e f
       | _ -> false)
 
-let suite = suite @ [ prop_mul_int ]
+(* The plain numerals, written out: an optional '-' and 1 to 18
+   digits, and for a rational a nonzero denominator. *)
+let is_plain_int p =
+  let n = String.length p in
+  let a = if n > 0 && p.[0] = '-' then 1 else 0 in
+  n - a >= 1
+  && n - a <= 18
+  && String.for_all (function '0' .. '9' -> true | _ -> false) (String.sub p a (n - a))
+
+let is_plain_rat s =
+  match String.split_on_char '/' s with
+  | [ n ] -> is_plain_int n
+  | [ n; d ] -> is_plain_int n && is_plain_int d && int_of_string d <> 0
+  | _ -> false
+
+(* The reader runs on a slice of a larger string, so reading past
+   either end would show. *)
+let prop_plain =
+  let open QCheck2 in
+  qcheck ~count:2000 "plain reader = of_string where it reads, refuses the rest"
+    (Gen.map (String.concat "")
+       (Gen.list_size (Gen.int_range 1 4)
+          (Gen.oneof
+             [
+               Gen.map (fun k -> String.init k (fun i -> Char.chr (48 + ((i * 7) + k) mod 10))) (Gen.int_range 1 20);
+               Gen.map string_of_int (Gen.int_range 0 99);
+               Gen.oneofl [ "-"; "/"; "0"; "+"; "0x1F"; "_"; " "; "1_000"; string_of_int min_int ];
+             ])))
+    (fun s ->
+      let framed = "7/" ^ s ^ "/9" and a = 2 and b = 2 + String.length s in
+      let rat =
+        match Rat.of_plain framed a b with
+        | q -> is_plain_rat s && Rat.equal q (Rat.of_string s)
+        | exception Rat.Not_plain -> not (is_plain_rat s)
+      and int =
+        match Rat.plain_int framed a b with
+        | i -> is_plain_int s && i = int_of_string s
+        | exception Rat.Not_plain -> not (is_plain_int s)
+      in
+      rat && int)
+
+let suite = suite @ [ prop_mul_int; prop_plain ]
