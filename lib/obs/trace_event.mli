@@ -110,7 +110,19 @@ val stream_error_to_string : stream_error -> string
     {!Feed.close} flushes a final line that lacks its trailing
     newline (what a short read or an unterminated file leaves
     behind).  After an error the feed is poisoned: every further call
-    returns the same {!stream_error}. *)
+    returns the same {!stream_error}.
+
+    The two line shapes a serve client sends are read in place, from
+    the caller's string, with no copy: an [arrive] line
+    [{"seq":S,"t":"T","kind":"arrive","item":I,"size":"Z"}] and a
+    [depart] line
+    [{"seq":S,"t":"T","kind":"depart","item":I,"bin":B,"held":"H"}],
+    keys in exactly that order, no blanks or escapes, nothing after
+    the ['}'] but the tolerated ['\r'], [S >= 0], and every number a
+    {!Dbp_num.Rat.plain_int} or {!Dbp_num.Rat.of_plain} numeral.
+    Every other line goes to {!of_ndjson}, which gives the same event
+    for any line the scanner reads and is the only code that reports
+    an error.  Only a line split across two chunks is copied. *)
 module Feed : sig
   type nonrec t
 
